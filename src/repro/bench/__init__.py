@@ -4,26 +4,9 @@ Each experiment from DESIGN.md's per-experiment index has a runner
 here returning a plain-data result object, consumed three ways: the
 ``pytest-benchmark`` suites under ``benchmarks/``, the CLI
 (``python -m repro.bench <experiment>``), and EXPERIMENTS.md.
+
+Import the runners from their modules (``repro.bench.pingpong``,
+``repro.bench.devices``, ...): the package itself imports nothing, so
+a process that only needs the benchmark device classes does not load
+numpy.
 """
-
-from repro.bench.devices import EchoDevice, PingDevice
-from repro.bench.fits import LinearFit, linear_fit
-from repro.bench.pingpong import (
-    PingPongResult,
-    build_gm_cluster,
-    run_native_pingpong,
-    run_xdaq_gm_pingpong,
-)
-from repro.bench.report import format_table
-
-__all__ = [
-    "EchoDevice",
-    "LinearFit",
-    "PingDevice",
-    "PingPongResult",
-    "build_gm_cluster",
-    "format_table",
-    "linear_fit",
-    "run_native_pingpong",
-    "run_xdaq_gm_pingpong",
-]

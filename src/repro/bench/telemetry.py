@@ -46,8 +46,8 @@ class _FloorExecutive(Executive):
     """The dispatch path exactly as it was before observability landed:
     no tracer guard on send/enqueue, no timing branch around dispatch."""
 
-    def _enqueue(self, frame: Frame) -> None:
-        self.scheduler.push(frame)
+    def _enqueue(self, frame: Frame, target: int) -> None:
+        self.scheduler.push(frame, target)
 
     def frame_send(self, frame: Frame) -> None:
         if frame.block is None:

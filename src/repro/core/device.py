@@ -169,8 +169,11 @@ class Listener:
     # -- messaging helpers ----------------------------------------------------
     def _require_live(self) -> "Executive":
         if self.executive is None or self.tid is None:
-            raise I2OError(f"device {self.name!r} is not plugged in")
+            raise self._not_plugged_in()
         return self.executive
+
+    def _not_plugged_in(self) -> I2OError:
+        return I2OError(f"device {self.name!r} is not plugged in")
 
     def alloc_frame(
         self,
@@ -207,7 +210,9 @@ class Listener:
         organization: int = 0,
     ) -> Frame:
         """frameSend: build a pool frame carrying ``payload`` and post it."""
-        exe = self._require_live()
+        exe = self.executive
+        if exe is None or self.tid is None:
+            raise self._not_plugged_in()
         frame = exe.frame_alloc(
             len(payload),
             target=target,
@@ -216,11 +221,11 @@ class Listener:
             xfunction=xfunction,
             priority=priority,
             organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
         )
         if len(payload):
             frame.payload[:] = payload
-        frame.transaction_context = transaction_context
-        frame.initiator_context = initiator_context
         exe.frame_send(frame)
         return frame
 
@@ -241,7 +246,9 @@ class Listener:
         directly in the loaned frame instead of handing over assembled
         bytes.  ``writer`` raising frees the frame; nothing is posted.
         """
-        exe = self._require_live()
+        exe = self.executive
+        if exe is None or self.tid is None:
+            raise self._not_plugged_in()
         frame = exe.frame_alloc(
             payload_size,
             target=target,
@@ -250,12 +257,12 @@ class Listener:
             xfunction=xfunction,
             priority=priority,
             organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
         )
         try:
             if payload_size:
                 writer(frame.payload)
-            frame.transaction_context = transaction_context
-            frame.initiator_context = initiator_context
         except BaseException:
             exe.frame_free(frame)
             raise
@@ -508,21 +515,27 @@ class Listener:
         fail: bool = False,
     ) -> Frame:
         """frameReply: answer ``request``, echoing its contexts."""
-        exe = self._require_live()
+        exe = self.executive
+        if exe is None or self.tid is None:
+            raise self._not_plugged_in()
+        (
+            initiator, function, xfunction, priority, organization,
+            initiator_context, transaction_context,
+        ) = request.reply_fields()
         frame = exe.frame_alloc(
             len(payload),
-            target=request.initiator,
+            target=initiator,
             initiator=self.tid,
-            function=request.function,
-            xfunction=request.xfunction,
-            priority=request.priority,
+            function=function,
+            xfunction=xfunction,
+            priority=priority,
             flags=FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            organization=request.organization,
+            organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
         )
         if len(payload):
             frame.payload[:] = payload
-        frame.initiator_context = request.initiator_context
-        frame.transaction_context = request.transaction_context
         exe.frame_send(frame)
         return frame
 
@@ -536,22 +549,28 @@ class Listener:
     ) -> Frame:
         """frameReply, zero-copy form: like :meth:`send_into` but
         echoing ``request``'s addressing and contexts."""
-        exe = self._require_live()
+        exe = self.executive
+        if exe is None or self.tid is None:
+            raise self._not_plugged_in()
+        (
+            initiator, function, xfunction, priority, organization,
+            initiator_context, transaction_context,
+        ) = request.reply_fields()
         frame = exe.frame_alloc(
             payload_size,
-            target=request.initiator,
+            target=initiator,
             initiator=self.tid,
-            function=request.function,
-            xfunction=request.xfunction,
-            priority=request.priority,
+            function=function,
+            xfunction=xfunction,
+            priority=priority,
             flags=FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            organization=request.organization,
+            organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
         )
         try:
             if payload_size:
                 writer(frame.payload)
-            frame.initiator_context = request.initiator_context
-            frame.transaction_context = request.transaction_context
         except BaseException:
             exe.frame_free(frame)
             raise

@@ -16,6 +16,7 @@ code).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.i2o.errors import I2OError
@@ -27,6 +28,9 @@ Handler = Callable[[Frame], object]
 #: Key type: (function_code, xfunction_code); xfunction is 0 for
 #: non-private functions.
 DispatchKey = tuple[int, int]
+
+#: The key of a table's default functor: it accepts any message.
+DEFAULT_KEY: DispatchKey = (-1, -1)
 
 
 class DispatchError(I2OError):
@@ -45,21 +49,29 @@ class Functor:
         self.key = key
         self.calls = 0
 
-    def prepare(self, frame: Frame) -> Callable[[], object]:
+    def prepare(
+        self, frame: Frame, function: int | None = None, xfunction: int = 0
+    ) -> Callable[[], object]:
         """The upcall: validate the frame against the binding and
-        return the zero-argument application thunk."""
-        func, xfunc = self.key
-        is_default = self.key == (-1, -1)
-        if not is_default and (
-            frame.function != func or (func == PRIVATE and frame.xfunction != xfunc)
-        ):
-            raise DispatchError(
-                f"frame {function_name(frame.function)}/0x{frame.xfunction:04X} "
-                f"reached functor bound to {function_name(func)}/0x{xfunc:04X}"
-            )
+        return the zero-argument application thunk.
+
+        A caller that has already read the frame's discriminator (the
+        executive, which demultiplexed on it) passes ``function`` and
+        ``xfunction`` so the header is not read again."""
+        key = self.key
+        if key != DEFAULT_KEY:
+            func, xfunc = key
+            if function is None:
+                function = frame.function
+                if function == PRIVATE:
+                    xfunction = frame.xfunction
+            if function != func or (func == PRIVATE and xfunction != xfunc):
+                raise DispatchError(
+                    f"frame {function_name(frame.function)}/0x{frame.xfunction:04X} "
+                    f"reached functor bound to {function_name(func)}/0x{xfunc:04X}"
+                )
         self.calls += 1
-        handler = self.handler
-        return lambda: handler(frame)
+        return partial(self.handler, frame)
 
 
 class DispatchTable:
@@ -97,7 +109,7 @@ class DispatchTable:
         return functor
 
     def bind_default(self, handler: Handler) -> Functor:
-        self.default = Functor(handler, (-1, -1))
+        self.default = Functor(handler, DEFAULT_KEY)
         return self.default
 
     def unbind(self, function: int, xfunction: int = 0) -> None:
@@ -109,18 +121,24 @@ class DispatchTable:
     def lookup(self, frame: Frame) -> Functor:
         """Demultiplex a frame to its functor (whitebox stage
         ``demultiplex``)."""
-        key = (
-            frame.function,
-            frame.xfunction if frame.function == PRIVATE else 0,
+        function = frame.function
+        return self.lookup_key(
+            function, frame.xfunction if function == PRIVATE else 0
         )
-        functor = self._table.get(key)
+
+    def lookup_key(self, function: int, xfunction: int) -> Functor:
+        """:meth:`lookup` on a discriminator the caller already read
+        from the frame (``xfunction`` is ignored unless private)."""
+        functor = self._table.get(
+            (function, xfunction if function == PRIVATE else 0)
+        )
         if functor is not None:
             return functor
         if self.default is not None:
             return self.default
         raise DispatchError(
             f"{self.owner or 'device'}: no handler for "
-            f"{function_name(frame.function)}/0x{frame.xfunction:04X} "
+            f"{function_name(function)}/0x{xfunction:04X} "
             "and no default bound"
         )
 

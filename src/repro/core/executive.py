@@ -512,6 +512,12 @@ class Executive:
         how to reach this device ... compared to the Proxy pattern."
         Idempotent per ``(node, remote_tid)``.
         """
+        # Every ingested frame comes here to resolve its initiator, so
+        # the known-proxy case returns first (a lock-free dict read; an
+        # entry implies a valid TiD on another node).
+        existing = self._proxies.get((node, remote_tid, transport))
+        if existing is not None:
+            return existing
         check_tid(remote_tid)
         if node == self.node:
             # A proxy for a local device is just the device itself.
@@ -595,9 +601,6 @@ class Executive:
                 )
         return self._routes[proxy_tid]
 
-    def is_local(self, tid: Tid) -> bool:
-        return tid in self._devices
-
     # ------------------------------------------------------------------
     # frame API (the narrow component interface of paper §1)
     # ------------------------------------------------------------------
@@ -612,6 +615,8 @@ class Executive:
         priority: int = DEFAULT_PRIORITY,
         flags: int = 0,
         organization: int = 0,
+        initiator_context: int = 0,
+        transaction_context: int = 0,
     ) -> Frame:
         """Loan a pool block and shape it into an addressed frame.
 
@@ -619,16 +624,12 @@ class Executive:
         by the caller directly into ``frame.payload`` (zero-copy
         buffer loaning).
         """
-        with self.probes.measure("frame_alloc"):
-            try:
-                block = self.pool.alloc(HEADER_SIZE + payload_size)
-            except PoolExhausted:
-                if self.flightrec is not None:
-                    self.flightrec.record(
-                        EV_POOL_EXHAUSTED, HEADER_SIZE + payload_size
-                    )
-                raise
-            frame = Frame(block.memory[: HEADER_SIZE + payload_size], block=block)
+        size = HEADER_SIZE + payload_size
+        probes = self.probes
+        span = None if probes.mode == "off" else probes.begin("frame_alloc")
+        try:
+            block = self.pool.alloc(size)
+            frame = Frame(block.memory[:size], block=block)
             frame.set_header(
                 target=target,
                 initiator=initiator,
@@ -638,12 +639,18 @@ class Executive:
                 flags=flags,
                 xfunction=xfunction,
                 organization=organization,
+                initiator_context=initiator_context,
+                transaction_context=transaction_context,
             )
+        except PoolExhausted:
+            if self.flightrec is not None:
+                self.flightrec.record(EV_POOL_EXHAUSTED, size)
+            raise
+        finally:
+            if span is not None:
+                span.end()
         if self.flightrec is not None:
-            self.flightrec.record(
-                EV_FRAME_ALLOC, HEADER_SIZE + payload_size,
-                self.pool.in_flight,
-            )
+            self.flightrec.record(EV_FRAME_ALLOC, size, self.pool.in_flight)
         return frame
 
     def frame_send(self, frame: Frame) -> None:
@@ -662,16 +669,22 @@ class Executive:
 
     def frame_free(self, frame: Frame) -> None:
         """Release a frame's block back to the pool (frameFree)."""
-        with self.probes.measure("frame_free"):
-            if frame.block is not None:
+        probes = self.probes
+        span = None if probes.mode == "off" else probes.begin("frame_free")
+        try:
+            block = frame.block
+            if block is not None:
                 if self.flightrec is not None:
                     # Context read *before* the free: afterwards the
                     # block may recycle under the sanitizer's poison.
                     self.flightrec.record(
                         EV_FRAME_RELEASE, frame.transaction_context
                     )
-                self.pool.free(frame.block)
+                self.pool.free(block)
                 frame.block = None
+        finally:
+            if span is not None:
+                span.end()
 
     def post_inbound(self, frame: Frame) -> None:
         """Entry point for peer transports and the timer service."""
@@ -688,9 +701,12 @@ class Executive:
         for pt in self._pollable:
             if pt.poll():  # type: ignore[attr-defined]
                 worked = True
-        if self._route_outbound():
+        msgi = self.msgi
+        if msgi.outbound:
+            self._route_outbound()
             worked = True
-        if self._intake_inbound():
+        if msgi.inbound:
+            self._intake_inbound()
             worked = True
         for _ in range(self.max_dispatch_per_step):
             if not self._dispatch_one():
@@ -699,8 +715,10 @@ class Executive:
             # Dispatching may have generated sends: route them before
             # the next dispatch so request/reply chains complete within
             # one call in single-threaded use.
-            self._route_outbound()
-            self._intake_inbound()
+            if msgi.outbound:
+                self._route_outbound()
+            if msgi.inbound:
+                self._intake_inbound()
         return worked
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> int:
@@ -789,10 +807,9 @@ class Executive:
             for pt in self.pta.transports():
                 if id(pt) not in detached:
                     pt.crash_detach()
-        while (frame := self.msgi.take_outbound()) is not None:
-            self._release_frame(frame)
-        while (frame := self.msgi.take_inbound()) is not None:
-            self._release_frame(frame)
+        for queue in (self.msgi.outbound, self.msgi.inbound):
+            while queue:
+                self._release_frame(queue.popleft())
         while (frame := self.scheduler.pop()) is not None:
             self._release_frame(frame)
         self.state = DeviceState.FAILED
@@ -823,22 +840,20 @@ class Executive:
     # internals
     # ------------------------------------------------------------------
     def _route_outbound(self) -> bool:
+        outbound = self.msgi.outbound
         routed = False
-        while True:
-            frame = self.msgi.take_outbound()
-            if frame is None:
-                return routed
+        while outbound:
             routed = True
-            self._route(frame)
+            self._route(outbound.popleft())
+        return routed
 
     def _route(self, frame: Frame) -> None:
         target = frame.target
         if target == TID_BROADCAST:
             self._broadcast(frame)
         elif target in self._devices:
-            self._enqueue(frame)
-        elif target in self._routes:
-            route = self._routes[target]
+            self._enqueue(frame, target)
+        elif (route := self._routes.get(target)) is not None:
             if route.parked:
                 self._dead_letter(
                     frame,
@@ -866,12 +881,13 @@ class Executive:
         """
         block = frame.block
         view = frame.view
+        initiator = frame.initiator
         for tid in list(self._devices):
-            if tid == frame.initiator:
+            if tid == initiator:
                 continue
             if block is not None:
                 block.addref()
-            self._enqueue(SharedFrame(view, block=block, target=tid))
+            self._enqueue(SharedFrame(view, block=block, target=tid), tid)
         self._release_frame(frame)
 
     def _dead_letter(self, frame: Frame, reason: str) -> None:
@@ -879,7 +895,10 @@ class Executive:
         logger.warning(
             "node %s: dropping %s: %s", self.node, function_name(frame.function), reason
         )
-        initiator = frame.initiator
+        (
+            initiator, function, xfunction, priority, _organization,
+            initiator_context, transaction_context,
+        ) = frame.reply_fields()
         # Tell the initiator its request went nowhere — whether it is a
         # local device or a proxy for a remote one (an inbound frame's
         # initiator was rewritten to a local proxy TiD at ingest, so the
@@ -887,14 +906,9 @@ class Executive:
         if not frame.is_reply and (
             initiator in self._devices or initiator in self._routes
         ):
-            # Snapshot the headers the reply needs, then release the
-            # original *before* allocating: if the pool is exhausted the
-            # dropped frame must not leak on top of the lost reply.
-            function = frame.function
-            xfunction = frame.xfunction
-            priority = frame.priority
-            initiator_context = frame.initiator_context
-            transaction_context = frame.transaction_context
+            # The headers the reply needs are snapshot above; release
+            # the original *before* allocating: if the pool is exhausted
+            # the dropped frame must not leak on top of the lost reply.
             self._release_frame(frame)
             try:
                 failure = self.frame_alloc(
@@ -905,6 +919,8 @@ class Executive:
                     xfunction=xfunction,
                     priority=priority,
                     flags=FLAG_REPLY | FLAG_FAIL,
+                    initiator_context=initiator_context,
+                    transaction_context=transaction_context,
                 )
             except PoolExhausted:
                 logger.warning(
@@ -912,41 +928,42 @@ class Executive:
                     self.node, initiator,
                 )
                 return
-            failure.initiator_context = initiator_context
-            failure.transaction_context = transaction_context
             self._route(failure)
             return
         self._release_frame(frame)
 
     def _intake_inbound(self) -> bool:
+        inbound = self.msgi.inbound
         took = False
-        while True:
-            frame = self.msgi.take_inbound()
-            if frame is None:
-                return took
+        while inbound:
             took = True
-            if frame.target in self._devices:
-                self._enqueue(frame)
+            frame = inbound.popleft()
+            target = frame.target
+            if target in self._devices:
+                self._enqueue(frame, target)
             else:
-                self._dead_letter(frame, f"inbound for unknown TiD {frame.target}")
+                self._dead_letter(frame, f"inbound for unknown TiD {target}")
+        return took
 
-    def _enqueue(self, frame: Frame) -> None:
-        """Push a frame for dispatch, noting its queue-entry time when
-        a tracer is installed (queue wait is a per-hop span field)."""
+    def _enqueue(self, frame: Frame, target: Tid) -> None:
+        """Push a frame (whose ``target`` the caller has read) for
+        dispatch, noting its queue-entry time when a tracer is
+        installed (queue wait is a per-hop span field)."""
         if self.tracer is not None:
             self.tracer.note_enqueue(frame, self.clock.now_ns())
-        self.scheduler.push(frame)
+        self.scheduler.push(frame, target)
 
     def _dispatch_one(self) -> bool:
         frame = self.scheduler.pop()
         if frame is None:
             return False
+        target = frame.target
+        function = frame.function
+        xfunction = frame.xfunction
         if self.dataflow is not None:
             # The frame left its priority FIFO: the consumer's queue
             # slot is free, so the emitting edge gets its credit back.
-            self.dataflow.on_dispatched(
-                self.node, frame.target, frame.function, frame.xfunction
-            )
+            self.dataflow.on_dispatched(self.node, target, function, xfunction)
         tracer = self.tracer
         timed = self.metrics.timing
         fr = self.flightrec
@@ -956,14 +973,15 @@ class Executive:
             # Publish the dispatch context for the sampler thread: one
             # reference store of an immutable tuple, read racily but
             # atomically from the sampler side.
-            prof.current = (frame.target, frame.function, frame.xfunction)
-        if tracer is not None or timed or fr is not None or sw is not None:
+            prof.current = (target, function, xfunction)
+        observed = tracer is not None or timed or fr is not None or sw is not None
+        if observed:
             start_ns = self.clock.now_ns()
             token = tracer.begin_dispatch(frame, start_ns) if tracer else None
             # Snapshot before dispatch: the handler may free the frame,
             # after which reading it is a use-after-free.
             dispatch_ctx = frame.transaction_context
-            dispatch_hdr = pack3(frame.target, frame.function, frame.xfunction)
+            dispatch_hdr = pack3(target, function, xfunction)
         else:
             start_ns, token = 0, None
             dispatch_ctx = dispatch_hdr = 0
@@ -971,60 +989,80 @@ class Executive:
             fr.record(
                 EV_DISPATCH_BEGIN, dispatch_ctx, dispatch_hdr, t_ns=start_ns
             )
+        # Probe spans (Table 1 stages) exist only when probes are live:
+        # off mode costs this one attribute read per dispatch.  Spans
+        # are closed before any handler below runs, as a ``with``
+        # block would close them.
+        probes = self.probes
+        live = probes.mode != "off"
+        span = probes.begin("demultiplex") if live else None
         try:
-            with self.probes.measure("demultiplex"):
-                device = self._devices.get(frame.target)
-                if device is None:
-                    # Device vanished between queueing and dispatch.
-                    self._release_frame(frame)
-                    self.dropped += 1
-                    if prof is not None:
-                        prof.current = None
-                    if tracer is not None:
-                        tracer.end_dispatch(token, self.clock.now_ns())
-                    if fr is not None:
-                        fr.record(EV_DISPATCH_END, dispatch_ctx, dispatch_hdr)
-                    return True
-                functor = device.table.lookup(frame)
-            with self.probes.measure("upcall"):
-                thunk = functor.prepare(frame)
-            accrued_before = self.probes.accrued_ns
-            with self.probes.measure("application"):
-                if self.watchdog is not None and self.probes.mode != "model":
-                    with self.watchdog.guard(label=device.name):
-                        result = thunk()
-                else:
+            device = self._devices.get(target)
+            if device is None:
+                # Device vanished between queueing and dispatch.
+                self._release_frame(frame)
+                self.dropped += 1
+                if prof is not None:
+                    prof.current = None
+                if tracer is not None:
+                    tracer.end_dispatch(token, self.clock.now_ns())
+                if fr is not None:
+                    fr.record(EV_DISPATCH_END, dispatch_ctx, dispatch_hdr)
+                if span is not None:
+                    span.end()
+                return True
+            functor = device.table.lookup_key(function, xfunction)
+            if span is not None:
+                span.end()
+                span = probes.begin("upcall")
+            thunk = functor.prepare(frame, function, xfunction)
+            if span is not None:
+                span.end()
+                accrued_before = probes.accrued_ns
+                span = probes.begin("application")
+            if self.watchdog is not None and probes.mode != "model":
+                with self.watchdog.guard(label=device.name):
                     result = thunk()
-            if (
-                self.watchdog is not None
-                and self.probes.mode == "model"
-                and (self.probes.accrued_ns - accrued_before)
-                > self.watchdog.limit_ns
-            ):
-                # Simulation plane: the handler's *modelled* cost blew
-                # the budget — same quarantine as a wall-clock overrun.
-                self.watchdog.overruns += 1
-                raise WatchdogTimeout(
-                    f"handler {device.name} modelled cost exceeded "
-                    f"{self.watchdog.limit_ns} ns"
-                )
+            else:
+                result = thunk()
+            if span is not None:
+                span.end()
+                span = None
+                if (
+                    self.watchdog is not None
+                    and probes.mode == "model"
+                    and (probes.accrued_ns - accrued_before)
+                    > self.watchdog.limit_ns
+                ):
+                    # Simulation plane: the handler's *modelled* cost
+                    # blew the budget — same quarantine as a wall-clock
+                    # overrun.
+                    self.watchdog.overruns += 1
+                    raise WatchdogTimeout(
+                        f"handler {device.name} modelled cost exceeded "
+                        f"{self.watchdog.limit_ns} ns"
+                    )
         except WatchdogTimeout as exc:
-            self._quarantine(frame.target, str(exc))
+            if span is not None:
+                span.end()
+            self._quarantine(target, str(exc))
             result = None
         except Exception as exc:  # fault tolerance: a bad handler must
             # never take the executive down (paper §3.2)
+            if span is not None:
+                span.end()
             self.handler_errors += 1
             logger.error(
                 "node %s: handler error for %s at TiD %d: %s",
                 self.node,
-                function_name(frame.function),
-                frame.target,
+                function_name(function),
+                target,
                 exc,
             )
             if fr is not None:
                 fr.record(EV_DISPATCH_ERROR, dispatch_ctx, dispatch_hdr)
                 fr.spill("dispatch-exception")
-            if not frame.is_reply and frame.initiator != frame.target:
+            if not frame.is_reply and frame.initiator != target:
                 self._send_failure_reply(frame)
             result = None
         except BaseException:
@@ -1034,15 +1072,23 @@ class Executive:
             # Exception`` above deliberately lets it through.  But the
             # frame being dispatched must still return to its pool, or
             # the simulated process death leaks a real block.
+            if span is not None:
+                span.end()
             self._release_frame(frame)
             raise
         self.dispatched += 1
-        with self.probes.measure("postprocess"):
-            if result is not RETAIN:
-                self.frame_free(frame)
+        if live:
+            span = probes.begin("postprocess")
+            try:
+                if result is not RETAIN:
+                    self.frame_free(frame)
+            finally:
+                span.end()
+        elif result is not RETAIN:
+            self.frame_free(frame)
         if prof is not None:
             prof.current = None
-        if tracer is not None or timed or fr is not None or sw is not None:
+        if observed:
             end_ns = self.clock.now_ns()
             elapsed = end_ns - start_ns
             if tracer is not None:

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.i2o.errors import I2OError
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only for analysis
+    import numpy as np
 
 #: Exclusive stage costs in nanoseconds, calibrated so the *inclusive*
 #: stage medians equal Table 1 of the paper:
@@ -143,15 +145,27 @@ class Probes:
     def measure(self, stage: str) -> "_Span":
         """Context manager for one probe span.
 
-        ``off`` mode returns a shared no-op object so the disabled
-        probes cost two dict-free method calls per span — this sits on
-        the per-message hot path of every executive.
+        ``off`` mode returns a shared no-op object.  The executive's
+        per-message paths do not come here at all when probes are off:
+        they test ``mode`` and use :meth:`begin` only when it is live.
         """
         if self.mode == "off":
             return _NULL_SPAN
         if self.mode == "wall":
             return _WallSpan(self, stage)
         return _ModelSpan(self, stage)
+
+    def begin(self, stage: str) -> "_WallSpan | _ModelSpan":
+        """Open a span explicitly; close it with ``span.end()``.
+
+        For hot paths that must cost nothing when probes are off: they
+        test ``probes.mode`` (one attribute read) and skip both calls,
+        and any span object, in ``off`` mode.  Closing in a ``finally``
+        gives exactly :meth:`measure`'s ``with`` semantics.
+        """
+        span = _WallSpan(self, stage) if self.mode == "wall" else _ModelSpan(self, stage)
+        span.__enter__()
+        return span
 
     def bump(self, name: str, count: int = 1) -> int:
         """Increment a named event counter; returns the new value."""
@@ -190,17 +204,25 @@ class Probes:
         return self._accrued_ns
 
     # -- analysis ----------------------------------------------------------
-    def samples(self, stage: str) -> np.ndarray:
+    # numpy is imported here, not at module level: a native executive
+    # never analyses its samples, and numpy is most of its footprint.
+    def samples(self, stage: str) -> "np.ndarray":
+        import numpy as np
+
         return np.asarray(self._samples.get(stage, ()), dtype=np.int64)
 
     def median_us(self, stage: str) -> float:
         """Median stage duration in microseconds (Table 1 reports medians)."""
+        import numpy as np
+
         data = self.samples(stage)
         if not len(data):
             raise I2OError(f"no samples for stage {stage!r}")
         return float(np.median(data)) / 1000.0
 
     def mean_us(self, stage: str) -> float:
+        import numpy as np
+
         data = self.samples(stage)
         if not len(data):
             raise I2OError(f"no samples for stage {stage!r}")
@@ -244,6 +266,8 @@ class _WallSpan:
     def __exit__(self, *exc: object) -> None:
         self._probes._record(self._stage, time.perf_counter_ns() - self._start)
 
+    end = __exit__
+
 
 class _ModelSpan:
     """Imposes the stage's exclusive cost; the recorded duration is
@@ -264,6 +288,8 @@ class _ModelSpan:
         assert probes.model is not None
         probes._accrued_ns += probes._jittered(probes.model.cost(self._stage))
         probes._record(self._stage, probes._accrued_ns - self._start_accrued)
+
+    end = __exit__
 
 
 _Span = _NullSpan | _WallSpan | _ModelSpan

@@ -27,52 +27,42 @@ class MessagingInstance:
 
     ``deque.append``/``popleft`` are atomic under CPython's GIL, so the
     queues themselves need no lock — this sits on the per-message hot
-    path.  The condition variable is only touched when a thread has
-    actually parked in :meth:`wait_for_work` (tracked by a waiter
+    path.  The executive's loop of control is the single consumer: it
+    drains :attr:`inbound` and :attr:`outbound` directly with
+    ``popleft``.  The condition variable is only touched when a thread
+    has actually parked in :meth:`wait_for_work` (tracked by a waiter
     count), so single-threaded use never pays for it.
     """
 
     def __init__(self, on_work: Callable[[], None] | None = None) -> None:
-        self._inbound: deque[Frame] = deque()
-        self._outbound: deque[Frame] = deque()
+        self.inbound: deque[Frame] = deque()
+        self.outbound: deque[Frame] = deque()
         self._work = threading.Condition()
         self._waiters = 0
         self.on_work = on_work
         self.posted_inbound = 0
         self.posted_outbound = 0
 
-    def _notify(self) -> None:
+    # -- posting ------------------------------------------------------------
+    def post_inbound(self, frame: Frame) -> None:
+        """Deposit a frame arriving from the wire (or local loopback)."""
+        self.inbound.append(frame)
+        self.posted_inbound += 1
         if self._waiters:
             with self._work:
                 self._work.notify_all()
         if self.on_work is not None:
             self.on_work()
 
-    # -- posting ------------------------------------------------------------
-    def post_inbound(self, frame: Frame) -> None:
-        """Deposit a frame arriving from the wire (or local loopback)."""
-        self._inbound.append(frame)
-        self.posted_inbound += 1
-        self._notify()
-
     def post_outbound(self, frame: Frame) -> None:
         """Deposit a frame a local device wants sent (frameSend)."""
-        self._outbound.append(frame)
+        self.outbound.append(frame)
         self.posted_outbound += 1
-        self._notify()
-
-    # -- draining -----------------------------------------------------------
-    def take_inbound(self) -> Frame | None:
-        try:
-            return self._inbound.popleft()
-        except IndexError:
-            return None
-
-    def take_outbound(self) -> Frame | None:
-        try:
-            return self._outbound.popleft()
-        except IndexError:
-            return None
+        if self._waiters:
+            with self._work:
+                self._work.notify_all()
+        if self.on_work is not None:
+            self.on_work()
 
     def wait_for_work(self, timeout: float | None = None) -> bool:
         """Block until either queue is non-empty (native thread mode).
@@ -83,7 +73,7 @@ class MessagingInstance:
         instead of a hang.
         """
         with self._work:
-            if self._inbound or self._outbound:
+            if self.inbound or self.outbound:
                 return True
             self._waiters += 1
             try:
@@ -94,12 +84,8 @@ class MessagingInstance:
     # -- introspection ------------------------------------------------------
     @property
     def inbound_depth(self) -> int:
-        return len(self._inbound)
-
-    @property
-    def outbound_depth(self) -> int:
-        return len(self._outbound)
+        return len(self.inbound)
 
     @property
     def idle(self) -> bool:
-        return not self._inbound and not self._outbound
+        return not self.inbound and not self.outbound

@@ -330,19 +330,18 @@ class ReliableEndpoint(Listener):
         def write_ack(view: memoryview) -> None:
             _HEADER.pack_into(view, 0, seq, zlib.crc32(_HEADER.pack(seq, 0)))
 
-        self.send_into(
-            frame.initiator, _HEADER.size, write_ack, xfunction=XF_REL_ACK
-        )
+        source = frame.initiator
+        self.send_into(source, _HEADER.size, write_ack, xfunction=XF_REL_ACK)
         fr = self._flightrec
         if fr is not None:
             exe = self._require_live()
-            route = exe.route_for(frame.initiator)
+            route = exe.route_for(source)
             src = route.node if route is not None else exe.node
             fr.record(EV_REL_DELIVER, seq, src, len(payload))
         if self.ordered:
-            self._deliver_ordered(frame.initiator, seq, payload)
+            self._deliver_ordered(source, seq, payload)
         else:
-            self._deliver_unordered(frame.initiator, seq, payload)
+            self._deliver_unordered(source, seq, payload)
 
     def _deliver_unordered(self, source: Tid, seq: int, payload: bytes) -> None:
         key = (source, seq)

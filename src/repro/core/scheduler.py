@@ -42,15 +42,18 @@ class PriorityScheduler:
     def empty(self) -> bool:
         return self._depth == 0
 
-    def push(self, frame: Frame) -> None:
+    def push(self, frame: Frame, target: Tid | None = None) -> None:
+        """Queue ``frame`` under its target device.  A caller that has
+        already read ``frame.target`` passes it as ``target``."""
         priority = frame.priority
         if not 0 <= priority < NUM_PRIORITIES:
             raise I2OError(f"frame priority {priority} out of range")
+        if target is None:
+            target = frame.target
         level = self._levels[priority]
-        queue = level.get(frame.target)
+        queue = level.get(target)
         if queue is None:
-            queue = deque()
-            level[frame.target] = queue
+            level[target] = queue = deque()
         queue.append(frame)
         self._depth += 1
         self.pushed += 1

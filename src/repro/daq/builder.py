@@ -145,7 +145,3 @@ class BuilderUnit(Listener):
             "corrupt": self.corrupt,
             "in_flight": len(self._pending),
         }
-
-    @property
-    def in_flight_events(self) -> int:
-        return len(self._pending)

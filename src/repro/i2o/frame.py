@@ -33,6 +33,18 @@ kept stable:
 * ``target_tid``/``initiator_tid`` occupy a full 16 bits each instead
   of packed 12+12+8; values remain 12-bit (validated);
 * contexts are 64-bit from the start (the spec grew them in v2.0).
+
+Decode once.  A :class:`Frame` decodes its 32-byte header exactly once,
+when it is constructed, with one ``struct`` unpack into per-field
+slots; every header property then reads its slot instead of re-decoding
+bytes on each access (a frame's header is read ~20 times on one hop).
+The slots are a *write-through* cache: every setter and
+:meth:`Frame.set_header` writes the buffer and the slot together, so
+the buffer stays the wire truth and ``Frame(frame.view)`` always decodes
+the fields the frame reports.  The rule that keeps this coherent:
+nothing may write header bytes behind a ``Frame`` — whoever changes a
+header goes through the frame, and bytes that arrive from elsewhere (a
+wire, a staged block) get a new ``Frame`` after they land.
 """
 
 from __future__ import annotations
@@ -65,6 +77,18 @@ MAX_FRAME_SIZE = 256 * 1024
 MAX_PAYLOAD_SIZE = MAX_FRAME_SIZE - HEADER_SIZE
 
 
+#: Header fields in wire order; ``Frame`` caches each in ``_<name>``.
+HEADER_FIELDS = (
+    "version", "flags", "priority", "function", "target", "initiator",
+    "payload_size", "organization", "xfunction", "initiator_context",
+    "transaction_context",
+)
+
+_U16 = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 class Frame:
     """A mutable view of one I2O message inside a buffer.
 
@@ -73,9 +97,18 @@ class Frame:
     ``bytearray`` for standalone use in tests).  ``block`` optionally
     records the pool block backing the buffer so ``frame_free`` can
     return it (see :class:`repro.mem.pool.BufferPool`).
+
+    The header is decoded once, here, into slots (see the module
+    docstring for the write-through rule that keeps them coherent).
     """
 
-    __slots__ = ("_buf", "block", "trace_mark")
+    __slots__ = (
+        "_buf", "block", "trace_mark",
+        # the decoded header, one slot per HEADER_FIELDS entry
+        "_version", "_flags", "_priority", "_function", "_target",
+        "_initiator", "_payload_size", "_organization", "_xfunction",
+        "_initiator_context", "_transaction_context",
+    )
 
     def __init__(self, buffer: memoryview | bytearray, block: Any = None) -> None:
         if isinstance(buffer, bytearray):
@@ -93,6 +126,19 @@ class Frame:
         #: frame object itself so a recycled frame can never alias a
         #: stale entry keyed by id().
         self.trace_mark: int | None = None
+        (
+            self._version,
+            self._flags,
+            self._priority,
+            self._function,
+            self._target,
+            self._initiator,
+            self._payload_size,
+            self._organization,
+            self._xfunction,
+            self._initiator_context,
+            self._transaction_context,
+        ) = _HEADER.unpack_from(buffer, 0)
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -158,9 +204,6 @@ class Frame:
         return frame
 
     # -- raw header access ----------------------------------------------------
-    def _unpack(self) -> tuple:
-        return _HEADER.unpack_from(self._buf, 0)
-
     def set_header(
         self,
         *,
@@ -185,6 +228,10 @@ class Frame:
             raise FrameFormatError(f"priority {priority} out of range 0..6")
         if flags & ~_ALL_FLAGS:
             raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
+        organization &= 0xFFFF
+        xfunction &= 0xFFFF
+        initiator_context &= _MASK64
+        transaction_context &= _MASK64
         _HEADER.pack_into(
             self._buf,
             0,
@@ -195,155 +242,171 @@ class Frame:
             target,
             initiator,
             payload_size,
-            organization & 0xFFFF,
-            xfunction & 0xFFFF,
-            initiator_context & 0xFFFFFFFFFFFFFFFF,
-            transaction_context & 0xFFFFFFFFFFFFFFFF,
+            organization,
+            xfunction,
+            initiator_context,
+            transaction_context,
+        )
+        self._version = I2O_VERSION
+        self._flags = flags
+        self._priority = priority
+        self._function = function
+        self._target = target
+        self._initiator = initiator
+        self._payload_size = payload_size
+        self._organization = organization
+        self._xfunction = xfunction
+        self._initiator_context = initiator_context
+        self._transaction_context = transaction_context
+
+    def reply_fields(self) -> tuple[int, int, int, int, int, int, int]:
+        """What a reply to this frame echoes, in one call:
+        ``(initiator, function, xfunction, priority, organization,
+        initiator_context, transaction_context)``."""
+        return (
+            self._initiator,
+            self._function,
+            self._xfunction,
+            self._priority,
+            self._organization,
+            self._initiator_context,
+            self._transaction_context,
         )
 
     # -- field properties -------------------------------------------------
     @property
     def version(self) -> int:
-        return self._buf[0]
+        return self._version
 
     @property
     def flags(self) -> int:
-        return self._buf[1]
+        return self._flags
 
     @flags.setter
     def flags(self, value: int) -> None:
         if value & ~_ALL_FLAGS:
             raise FrameFormatError(f"unknown flag bits 0x{value:02X}")
-        self._buf[1] = value
+        self._buf[1] = self._flags = value
 
     @property
     def priority(self) -> int:
-        return self._buf[2]
+        return self._priority
 
     @priority.setter
     def priority(self, value: int) -> None:
         if not 0 <= value < NUM_PRIORITIES:
             raise FrameFormatError(f"priority {value} out of range 0..6")
-        self._buf[2] = value
+        self._buf[2] = self._priority = value
 
     @property
     def function(self) -> int:
-        return self._buf[3]
+        return self._function
 
     @property
     def target(self) -> int:
-        return int.from_bytes(self._buf[4:6], "little")
+        return self._target
 
     @target.setter
     def target(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"target TiD {tid} out of range")
-        self._buf[4:6] = tid.to_bytes(2, "little")
+        _U16.pack_into(self._buf, 4, tid)
+        self._target = tid
 
     @property
     def initiator(self) -> int:
-        return int.from_bytes(self._buf[6:8], "little")
+        return self._initiator
 
     @initiator.setter
     def initiator(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"initiator TiD {tid} out of range")
-        self._buf[6:8] = tid.to_bytes(2, "little")
+        _U16.pack_into(self._buf, 6, tid)
+        self._initiator = tid
 
     @property
     def payload_size(self) -> int:
-        return int.from_bytes(self._buf[8:12], "little")
+        return self._payload_size
 
     @property
     def organization(self) -> int:
-        return int.from_bytes(self._buf[12:14], "little")
+        return self._organization
 
     @property
     def xfunction(self) -> int:
-        return int.from_bytes(self._buf[14:16], "little")
+        return self._xfunction
 
     @property
     def initiator_context(self) -> int:
-        return int.from_bytes(self._buf[16:24], "little")
+        return self._initiator_context
 
     @initiator_context.setter
     def initiator_context(self, value: int) -> None:
-        self._buf[16:24] = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        value &= _MASK64
+        _U64.pack_into(self._buf, 16, value)
+        self._initiator_context = value
 
     @property
     def transaction_context(self) -> int:
-        return int.from_bytes(self._buf[24:32], "little")
+        return self._transaction_context
 
     @transaction_context.setter
     def transaction_context(self, value: int) -> None:
-        self._buf[24:32] = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        value &= _MASK64
+        _U64.pack_into(self._buf, 24, value)
+        self._transaction_context = value
 
     # -- flag helpers -------------------------------------------------------
     @property
     def is_reply(self) -> bool:
-        return bool(self.flags & FLAG_REPLY)
+        return bool(self._flags & FLAG_REPLY)
 
     @property
     def is_failure(self) -> bool:
-        return bool(self.flags & FLAG_FAIL)
-
-    @property
-    def has_more(self) -> bool:
-        return bool(self.flags & FLAG_MORE)
+        return bool(self._flags & FLAG_FAIL)
 
     # -- payload ------------------------------------------------------------
     @property
     def payload(self) -> memoryview:
         """Zero-copy writable view of the payload bytes."""
-        return self._buf[HEADER_SIZE : HEADER_SIZE + self.payload_size]
+        return self._buf[HEADER_SIZE : HEADER_SIZE + self._payload_size]
 
     @property
     def total_size(self) -> int:
-        return HEADER_SIZE + self.payload_size
+        return HEADER_SIZE + self._payload_size
 
     @property
     def view(self) -> memoryview:
         """Zero-copy view of the whole frame (header + payload) — the
         iovec a scatter-gather transport puts on the wire.  Aliases the
         frame's buffer: it must be consumed before the block is freed."""
-        return self._buf[: self.total_size]
+        return self._buf[: HEADER_SIZE + self._payload_size]
 
     def tobytes(self) -> bytes:
         """Serialise header + payload for the wire (this is the one copy
         a byte-stream transport like TCP must make)."""
-        return bytes(self._buf[: self.total_size])
+        return bytes(self._buf[: HEADER_SIZE + self._payload_size])
 
     # -- validation & comparison -----------------------------------------
     def validate(self) -> "Frame":
         """Check structural well-formedness; returns self for chaining.
 
-        One bulk header unpack instead of per-field property reads:
-        this runs per message on both the send and receive hot paths.
-        """
-        (
-            version,
-            flags,
-            priority,
-            _function,
-            target,
-            initiator,
-            payload_size,
-            *_rest,
-        ) = _HEADER.unpack_from(self._buf, 0)
-        if version != I2O_VERSION:
+        Checks the decoded slots, which the write-through rule keeps
+        equal to the header bytes."""
+        if self._version != I2O_VERSION:
             raise FrameFormatError(
-                f"bad version 0x{version:02X}, expected 0x{I2O_VERSION:02X}"
+                f"bad version 0x{self._version:02X}, expected 0x{I2O_VERSION:02X}"
             )
-        if flags & ~_ALL_FLAGS:
-            raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
-        if priority >= NUM_PRIORITIES:
-            raise FrameFormatError(f"priority {priority} out of range")
-        if target > MAX_TID or initiator > MAX_TID:
+        if self._flags & ~_ALL_FLAGS:
+            raise FrameFormatError(f"unknown flag bits 0x{self._flags:02X}")
+        if self._priority >= NUM_PRIORITIES:
+            raise FrameFormatError(f"priority {self._priority} out of range")
+        if self._target > MAX_TID or self._initiator > MAX_TID:
             raise FrameFormatError("TiD out of 12-bit range")
-        total = HEADER_SIZE + payload_size
+        total = HEADER_SIZE + self._payload_size
         if total > len(self._buf):
             raise FrameFormatError(
-                f"declared payload {payload_size} overruns buffer "
+                f"declared payload {self._payload_size} overruns buffer "
                 f"of {len(self._buf)}"
             )
         if total > MAX_FRAME_SIZE:
@@ -356,10 +419,10 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Frame {function_name(self.function)} "
-            f"tid {self.initiator}->{self.target} prio={self.priority} "
-            f"xfunc=0x{self.xfunction:04X} size={self.payload_size} "
-            f"flags=0x{self.flags:02X}>"
+            f"<Frame {function_name(self._function)} "
+            f"tid {self._initiator}->{self._target} prio={self._priority} "
+            f"xfunc=0x{self._xfunction:04X} size={self._payload_size} "
+            f"flags=0x{self._flags:02X}>"
         )
 
 
@@ -369,11 +432,11 @@ class SharedFrame(Frame):
     ``Executive._broadcast`` fans a single refcounted pool block out to
     every local listener.  Each delivery needs its own ``target`` (the
     scheduler keys its FIFOs by it) but the 32-byte header is shared by
-    all of them, so the override lives on the instance instead of being
-    written into the buffer.  Everything else — payload, contexts,
-    initiator — reads through to the shared buffer."""
+    all of them, so the target lives only in this delivery's slot and
+    is never written into the buffer.  Everything else — payload,
+    contexts, initiator — is the shared header's."""
 
-    __slots__ = ("_target",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -383,9 +446,7 @@ class SharedFrame(Frame):
         target: int,
     ) -> None:
         super().__init__(buffer, block=block)
-        if not 0 <= target <= MAX_TID:
-            raise FrameFormatError(f"target TiD {target} out of range")
-        self._target = target
+        self.target = target
 
     @property
     def target(self) -> int:

@@ -197,13 +197,6 @@ _MIN_CLASS_BITS = 6  # 64 B
 _MAX_CLASS_BITS = 18  # 256 KB
 
 
-def _size_class_bits(size: int) -> int:
-    bits = max((size - 1).bit_length(), _MIN_CLASS_BITS)
-    if bits > _MAX_CLASS_BITS:
-        raise PoolError(f"size {size} above 256 KB maximum")
-    return bits
-
-
 class TableAllocator(Allocator):
     """The paper's optimised scheme (§5).
 
@@ -262,14 +255,17 @@ class TableAllocator(Allocator):
             self._block_index += 1
 
     def _acquire(self, size: int) -> PoolBlock:
-        bits = _size_class_bits(size)
+        # The table match: the power-of-two class holding ``size``
+        # (``alloc`` has already refused sizes above the 256 KB class).
+        bits = max((size - 1).bit_length(), _MIN_CLASS_BITS)
         free_list = self._free[bits]
         if not free_list:
             self._grow(bits)
         return free_list.pop()
 
     def _recycle(self, block: PoolBlock) -> None:
-        self._free[_size_class_bits(block.capacity)].append(block)
+        # A block's capacity is exactly its power-of-two class size.
+        self._free[block.capacity.bit_length() - 1].append(block)
         self.note_free(block)
 
     @property

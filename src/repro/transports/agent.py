@@ -125,6 +125,7 @@ class PeerTransportAgent(Listener):
             )
         original_target = frame.target
         owned = frame.block is not None
+        remote_tid = route.remote_tid
         exe = self.executive
         fr = exe.flightrec if exe is not None else None
         if fr is not None:
@@ -133,10 +134,10 @@ class PeerTransportAgent(Listener):
             # read.
             rec_args = (
                 frame.transaction_context,
-                pack3(route.node, int(route.remote_tid), frame.xfunction),
+                pack3(route.node, int(remote_tid), frame.xfunction),
                 frame.total_size,
             )
-        frame.target = route.remote_tid
+        frame.target = remote_tid
         try:
             pt.transmit(frame, route)
         except Exception:

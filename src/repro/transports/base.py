@@ -132,11 +132,23 @@ class PeerTransport(Listener):
         unavoidable copy off the wire (e.g. ``recv_into`` for TCP) —
         then resolve the initiator to a local proxy TiD and post to the
         inbound queue.  ``fill`` raising (or the frame failing
-        validation) frees the block; nothing leaks.
+        validation) frees the block; nothing leaks.  With probes off
+        no span exists (see :meth:`Probes.begin`).
         """
-        exe = self._require_live()
-        with exe.probes.measure("pt_processing"):
-            with exe.probes.measure("frame_alloc"):
+        exe = self.executive
+        if exe is None:
+            raise self._not_installed()
+        probes = exe.probes
+        live = probes.mode != "off"
+        span = probes.begin("pt_processing") if live else None
+        try:
+            if live:
+                alloc_span = probes.begin("frame_alloc")
+                try:
+                    block = exe.pool.alloc(frame_len)
+                finally:
+                    alloc_span.end()
+            else:
                 block = exe.pool.alloc(frame_len)
             try:
                 view = block.memory[:frame_len]
@@ -148,6 +160,9 @@ class PeerTransport(Listener):
             except BaseException:
                 exe.pool.free(block)
                 raise
+        finally:
+            if span is not None:
+                span.end()
 
     def ingest_block(
         self, src_node: int, block: "PoolBlock", frame_len: int
@@ -159,15 +174,21 @@ class PeerTransport(Listener):
         staged item carried becomes the inbound frame's reference.  On
         validation failure the reference is dropped here.
         """
-        exe = self._require_live()
-        with exe.probes.measure("pt_processing"):
-            try:
-                frame = Frame(block.memory[:frame_len], block=block)
-                frame.validate()
-                return self._post_ingested(exe, src_node, frame)
-            except BaseException:
-                block.release()
-                raise
+        exe = self.executive
+        if exe is None:
+            raise self._not_installed()
+        probes = exe.probes
+        span = None if probes.mode == "off" else probes.begin("pt_processing")
+        try:
+            frame = Frame(block.memory[:frame_len], block=block)
+            frame.validate()
+            return self._post_ingested(exe, src_node, frame)
+        except BaseException:
+            block.release()
+            raise
+        finally:
+            if span is not None:
+                span.end()
 
     def ingest_frame_bytes(self, src_node: int, frame_bytes) -> Frame:
         """Compat shim: rebuild an arriving frame from serialised bytes.
@@ -186,16 +207,17 @@ class PeerTransport(Listener):
         frame.initiator = exe.create_proxy(
             src_node, frame.initiator, transport=self.name
         )
+        size = frame.total_size
         self.frames_received += 1
-        self.bytes_received += frame.total_size
+        self.bytes_received += size
         if exe.flightrec is not None:
             exe.flightrec.record(
                 EV_FRAME_INGEST,
                 frame.transaction_context,
                 pack3(src_node, int(frame.target), frame.xfunction),
-                frame.total_size,
+                size,
             )
-        exe.post_inbound(frame)
+        exe.msgi.post_inbound(frame)
         return frame
 
     # -- intra-process staging helpers ----------------------------------------
@@ -207,7 +229,9 @@ class PeerTransport(Listener):
         zero copies), or the serialised bytes otherwise.  Caller has
         committed to delivery: the frame no longer owns its block.
         """
-        exe = self._require_live()
+        exe = self.executive
+        if exe is None:
+            raise self._not_installed()
         size = frame.total_size
         block = frame.block
         if block is not None:
@@ -235,5 +259,8 @@ class PeerTransport(Listener):
 
     def _require_live(self) -> "Executive":
         if self.executive is None:
-            raise TransportError(f"peer transport {self.name!r} is not installed")
+            raise self._not_installed()
         return self.executive
+
+    def _not_installed(self) -> TransportError:
+        return TransportError(f"peer transport {self.name!r} is not installed")

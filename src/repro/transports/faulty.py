@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.i2o.frame import HEADER_SIZE, Frame
-from repro.sim.rng import RngStreams
 from repro.transports.base import StagedItem
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
@@ -63,6 +62,8 @@ class FaultyLoopbackTransport(LoopbackTransport):
         *,
         seed: int = 0,
     ) -> None:
+        from repro.sim.rng import RngStreams  # numpy-backed: load on use
+
         super().__init__(network, name=name)
         self.plan = plan
         self._rng = RngStreams(seed).stream(f"faults/{name}")

@@ -2,7 +2,9 @@
 
 Two executives running in their own threads exchange staged deliveries
 through a pair of thread-safe queues — the software analogue of the
-inbound/outbound hardware FIFOs of paper figure 2.  What travels on
+inbound/outbound hardware FIFOs of paper figure 2.  The queues are
+:class:`queue.SimpleQueue`, implemented in C: a put or a non-blocking
+drain makes no Python-level lock or condition calls.  What travels on
 the queue is the sender's *pool block* itself (buffer loaning, zero
 copies); the block's refcount is guarded by its allocator's lock, so
 the cross-thread handoff is safe.  Supports both PT operation modes:
@@ -34,9 +36,9 @@ class QueuePair:
         if node_a == node_b:
             raise TransportError("queue pair endpoints must differ")
         self.nodes = (node_a, node_b)
-        self._queues: dict[int, queue.Queue[object]] = {
-            node_a: queue.Queue(),
-            node_b: queue.Queue(),
+        self._queues: dict[int, queue.SimpleQueue[object]] = {
+            node_a: queue.SimpleQueue(),
+            node_b: queue.SimpleQueue(),
         }
 
     def send_to(self, node: int, item: object) -> None:
@@ -45,7 +47,7 @@ class QueuePair:
             raise TransportError(f"queue pair does not reach node {node}")
         q.put(item)
 
-    def receive_queue(self, node: int) -> "queue.Queue[object]":
+    def receive_queue(self, node: int) -> "queue.SimpleQueue[object]":
         q = self._queues.get(node)
         if q is None:
             raise TransportError(f"node {node} is not an endpoint")
@@ -54,6 +56,9 @@ class QueuePair:
 
 class QueueTransport(PeerTransport):
     """One endpoint of a :class:`QueuePair`."""
+
+    #: seconds ``shutdown`` waits for the task-mode reader before it raises
+    join_timeout_s = 5.0
 
     def __init__(
         self,
@@ -69,7 +74,7 @@ class QueueTransport(PeerTransport):
         #: reproduce the paper's "a slow PT ... would negate the
         #: benefits" claim about mixing PTs in polling mode.
         self.artificial_delay_s = artificial_delay_s
-        self._rx: "queue.Queue[object] | None" = None
+        self._rx: "queue.SimpleQueue[object] | None" = None
         self._reader: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -91,13 +96,19 @@ class QueueTransport(PeerTransport):
         self.shutdown()
 
     def shutdown(self) -> None:
-        if self._reader is not None:
+        reader = self._reader
+        if reader is not None:
             self._stop.set()
             # Unblock the reader with a sentinel.
             assert self._rx is not None
             self._rx.put(None)
-            self._reader.join(timeout=5)
+            reader.join(timeout=self.join_timeout_s)
             self._reader = None
+            if reader.is_alive():
+                raise TransportError(
+                    f"transport {self.name!r}: thread {reader.name} did not "
+                    f"stop within {self.join_timeout_s:g} s"
+                )
 
     # -- transmit ---------------------------------------------------------
     def transmit(self, frame: Frame, route: "Route") -> None:
@@ -117,16 +128,17 @@ class QueueTransport(PeerTransport):
             import time
 
             time.sleep(self.artificial_delay_s)
+        rx = self._rx
         got = False
-        while True:
-            try:
-                item = self._rx.get_nowait()
-            except queue.Empty:
-                return got
+        # This loop is the queue's only consumer, so a non-empty queue
+        # cannot be emptied between the test and the get.
+        while not rx.empty():
+            item = rx.get()
             if item is None:  # shutdown sentinel
                 continue
             got = True
             self.ingest_staged(item)
+        return got
 
     @property
     def has_pending(self) -> bool:

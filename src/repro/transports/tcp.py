@@ -12,6 +12,14 @@ pool buffer on the wire with vectored ``sendmsg`` (no serialisation
 copy), and receive re-frames on the 12-byte wire header, allocates the
 receiving pool block first, and ``recv_into``s the frame straight into
 it — exactly one copy per node, the one off the wire.
+
+Teardown is a contract, not a best effort: :meth:`TcpTransport.shutdown`
+shuts the listener down (``close`` alone does not wake a thread blocked
+in ``accept`` on Linux) and every socket the transport ever accepted or
+dialled — including one that lost the race to become a node's cached
+connection — so every PT thread wakes and exits.  A thread that still
+does not stop within its join timeout raises :class:`TransportError`
+naming it; a silent timeout never counts as a clean stop.
 """
 
 from __future__ import annotations
@@ -31,6 +39,15 @@ from repro.transports.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route
+
+
+def _close(sock: socket.socket) -> None:
+    """Shut a socket down (waking any thread blocked on it) and close it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # never connected, or already shut down
+        pass
+    sock.close()
 
 
 def _sendmsg_all(sock: socket.socket, parts: list) -> None:
@@ -56,6 +73,9 @@ class TcpTransport(PeerTransport):
     cached; each accepted or initiated socket gets a reader thread.
     """
 
+    #: seconds ``shutdown`` waits for each PT thread before it raises
+    join_timeout_s = 2.0
+
     def __init__(
         self,
         name: str = "tcp",
@@ -72,6 +92,9 @@ class TcpTransport(PeerTransport):
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conns: dict[int, socket.socket] = {}
+        #: every accepted or dialled socket still open, cached in
+        #: ``_conns`` or not: shutdown closes all of them
+        self._sockets: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._readers: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -94,28 +117,34 @@ class TcpTransport(PeerTransport):
         self.shutdown()
 
     def shutdown(self) -> None:
+        """Stop every PT thread and close every socket.
+
+        Raises :class:`TransportError` naming any thread still alive
+        after :attr:`join_timeout_s`."""
         self._stop.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            _close(server)
         with self._conn_lock:
-            conns = list(self._conns.values())
+            sockets = list(self._sockets)
+            self._sockets.clear()
             self._conns.clear()
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        for reader in self._readers:
-            reader.join(timeout=2)
-        self._readers.clear()
+            threads, self._readers = self._readers, []
+        for sock in sockets:
+            _close(sock)
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
+            threads.append(self._accept_thread)
             self._accept_thread = None
+        stuck = []
+        for thread in threads:
+            thread.join(timeout=self.join_timeout_s)
+            if thread.is_alive():
+                stuck.append(thread.name)
+        if stuck:
+            raise TransportError(
+                f"transport {self.name!r}: thread(s) {', '.join(stuck)} "
+                f"did not stop within {self.join_timeout_s:g} s"
+            )
 
     def add_peer(self, node: int, host: str, port: int) -> None:
         self.peers[node] = (host, port)
@@ -149,40 +178,55 @@ class TcpTransport(PeerTransport):
         except OSError as exc:
             raise TransportError(f"connect to node {node} {address}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if not self._adopt(sock):
+            raise TransportError(f"transport {self.name!r} is shut down")
         with self._conn_lock:
             self._conns[node] = sock
-        self._spawn_reader(sock)
         return sock
 
     def _drop_connection(self, node: int) -> None:
         with self._conn_lock:
             sock = self._conns.pop(node, None)
+            if sock is not None:
+                self._sockets.discard(sock)
         if sock is not None:
-            sock.close()
+            _close(sock)
 
     # -- receive ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        assert self._server is not None
+        server = self._server
+        assert server is not None
         while not self._stop.is_set():
             try:
-                conn, _addr = self._server.accept()
+                conn, _addr = server.accept()
             except OSError:
-                return  # socket closed during shutdown
+                return  # listener shut down
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn_reader(conn)
+            if not self._adopt(conn):
+                return
 
-    def _spawn_reader(self, sock: socket.socket) -> None:
-        reader = threading.Thread(
-            target=self._reader_loop,
-            args=(sock,),
-            name=f"pt-{self.name}-reader",
-            daemon=True,
-        )
-        reader.start()
-        # Spawned from both the accept thread and (lazily, on first
-        # transmit) the dispatch thread; shutdown() joins the list.
+    def _adopt(self, sock: socket.socket) -> bool:
+        """Track a new socket and give it a reader thread — or, once
+        shutdown has begun, close it and return False.
+
+        Spawned from both the accept thread and (lazily, on first
+        transmit) the dispatch thread.  Checking ``_stop`` under the
+        lock that ``shutdown`` takes to collect sockets and readers
+        means a socket is either collected there or closed here."""
         with self._conn_lock:
-            self._readers.append(reader)
+            if not self._stop.is_set():
+                reader = threading.Thread(
+                    target=self._reader_loop,
+                    args=(sock,),
+                    name=f"pt-{self.name}-reader",
+                    daemon=True,
+                )
+                self._sockets.add(sock)
+                self._readers.append(reader)
+                reader.start()
+                return True
+        _close(sock)
+        return False
 
     def _reader_loop(self, sock: socket.socket) -> None:
         while not self._stop.is_set():

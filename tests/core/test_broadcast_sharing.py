@@ -17,7 +17,6 @@ from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
 from repro.i2o.frame import HEADER_SIZE, Frame, SharedFrame
 from repro.i2o.tid import TID_BROADCAST
-from repro.mem.pool import _size_class_bits
 
 XF = 0x7
 
@@ -66,7 +65,8 @@ class TestSharedBroadcast:
         for r in retainers:
             exe.install(r)
         payload = b"z" * 300  # 332 B total -> its own 512 B class
-        size_class = 1 << _size_class_bits(HEADER_SIZE + len(payload))
+        # the table allocator's power-of-two class for the frame
+        size_class = 1 << (HEADER_SIZE + len(payload) - 1).bit_length()
         before = exe.pool.stats.per_class.get(size_class, 0)
         sender.send(TID_BROADCAST, payload, xfunction=XF)
         exe.run_until_idle()

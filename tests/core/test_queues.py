@@ -19,8 +19,8 @@ def frame(tag: int = 0) -> Frame:
 def test_starts_idle():
     msgi = MessagingInstance()
     assert msgi.idle
-    assert msgi.take_inbound() is None
-    assert msgi.take_outbound() is None
+    assert not msgi.inbound
+    assert not msgi.outbound
 
 
 def test_inbound_fifo():
@@ -28,15 +28,15 @@ def test_inbound_fifo():
     for tag in range(3):
         msgi.post_inbound(frame(tag))
     assert msgi.inbound_depth == 3
-    tags = [msgi.take_inbound().transaction_context for _ in range(3)]
+    tags = [msgi.inbound.popleft().transaction_context for _ in range(3)]
     assert tags == [0, 1, 2]
 
 
 def test_outbound_independent_of_inbound():
     msgi = MessagingInstance()
     msgi.post_outbound(frame(9))
-    assert msgi.take_inbound() is None
-    assert msgi.take_outbound().transaction_context == 9
+    assert not msgi.inbound
+    assert msgi.outbound.popleft().transaction_context == 9
 
 
 def test_counters():

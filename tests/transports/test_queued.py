@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -70,6 +71,24 @@ class TestTaskMode:
                 exe.stop()
             for exe in exes.values():
                 exe.pta.transport("q").shutdown()
+
+    def test_reader_outliving_join_timeout_raises(self):
+        exes = build_pair("task")
+        pt = exes[0].pta.transport("q")
+        pt.shutdown()  # the real reader stops at once
+        release = threading.Event()
+        stuck = threading.Thread(target=release.wait, name="pt-q-stuck",
+                                 daemon=True)
+        stuck.start()
+        pt._reader = stuck
+        pt.join_timeout_s = 0.05
+        try:
+            with pytest.raises(TransportError, match="pt-q-stuck"):
+                pt.shutdown()
+        finally:
+            release.set()
+            stuck.join()
+            exes[1].pta.transport("q").shutdown()
 
     def test_task_mode_has_no_pending_concept(self):
         exes = build_pair("task")
