@@ -327,7 +327,7 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
             "snapshots": True,          # daq_eventmanager snapshot stores
             "flush_every": 1,           # group-commit batch size
             "fsync": False,             # fsync on flush
-            "compact_min_records": 64,
+            "compact_min_records": COMPACT_MIN_RECORDS,  # repro.durable.segments
             "compact_live_ratio": 0.5,
         }
 

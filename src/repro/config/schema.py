@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.durable.segments import COMPACT_MIN_RECORDS
 from repro.i2o.errors import I2OError
 
 
@@ -176,7 +177,8 @@ DURABILITY_SCHEMA = ParamSchema([
               description="group-commit batch size (records per flush)"),
     ParamSpec("fsync", bool, default=False,
               description="fsync the journal file on every flush"),
-    ParamSpec("compact_min_records", int, default=64, minimum=1,
+    ParamSpec("compact_min_records", int, default=COMPACT_MIN_RECORDS,
+              minimum=1,
               description="do not compact below this many records"),
     ParamSpec("compact_live_ratio", float, default=0.5,
               minimum=0.0, maximum=1.0,

@@ -26,6 +26,7 @@ comparison / boolean grammar over numbers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.i2o.errors import I2OError
@@ -66,16 +67,30 @@ class TclInterp:
         self.commands[name] = fn
 
     def run(self, script: str) -> str:
-        """Execute a script; returns the result of the last command."""
+        """Execute a script; returns the result of the last command.
+
+        The script is lexed once per distinct text (a loop body runs
+        from the cache on every later iteration); only words that
+        contain ``$``, ``[`` or ``\\`` are substituted at run time.  A
+        syntax error stops the script at the malformed command, after
+        the commands before it have run.
+        """
+        commands, error = _lex_script(script)
         result = ""
-        for words in self._parse_commands(script):
-            if not words:
-                continue
-            result = self._invoke(words)
+        substitute = self.substitute
+        for words in commands:
+            result = self._invoke(
+                [text if literal else substitute(text)
+                 for text, literal in words]
+            )
+        if error is not None:
+            raise TclError(error)
         return result
 
     def eval_expr(self, text: str) -> str:
-        return _ExprParser(self.substitute(text)).parse()
+        if _needs_substitution(text):
+            text = self.substitute(text)
+        return _ExprParser(text).parse()
 
     # -- variable scope -----------------------------------------------------
     @property
@@ -95,50 +110,6 @@ class TclInterp:
         return value
 
     # -- parsing --------------------------------------------------------------
-    def _parse_commands(self, script: str):
-        """Yield word lists, one per command."""
-        i, n = 0, len(script)
-        while i < n:
-            # Skip leading whitespace and command separators.
-            while i < n and script[i] in " \t\r\n;":
-                i += 1
-            if i >= n:
-                return
-            if script[i] == "#":
-                while i < n and script[i] != "\n":
-                    i += 1
-                continue
-            words: list[str] = []
-            while i < n and script[i] not in "\n;":
-                while i < n and script[i] in " \t\r":
-                    i += 1
-                if i >= n or script[i] in "\n;":
-                    break
-                word, i = self._parse_word(script, i)
-                words.append(word)
-            yield words
-
-    def _parse_word(self, text: str, i: int) -> tuple[str, int]:
-        if text[i] == "{":
-            raw, i = self._read_braced(text, i)
-            return raw, i
-        if text[i] == '"':
-            raw, i = self._read_quoted(text, i)
-            return self.substitute(raw), i
-        start = i
-        n = len(text)
-        depth = 0
-        while i < n:
-            c = text[i]
-            if c == "[":
-                depth += 1
-            elif c == "]" and depth > 0:
-                depth -= 1
-            elif depth == 0 and c in " \t\r\n;":
-                break
-            i += 1
-        return self.substitute(text[start:i]), i
-
     @staticmethod
     def _read_braced(text: str, i: int) -> tuple[str, int]:
         if text[i] != "{":
@@ -252,6 +223,76 @@ class TclInterp:
         b["eval"] = _cmd_eval
         b["catch"] = _cmd_catch
         b["error"] = _cmd_error
+
+
+# --- script lexer (cached per script text) ------------------------------------
+
+#: a lexed word: its text and whether it is literal (needs no substitution)
+_Word = tuple[str, bool]
+
+
+def _needs_substitution(text: str) -> bool:
+    return "$" in text or "[" in text or "\\" in text
+
+
+@lru_cache(maxsize=512)
+def _lex_script(script: str) -> tuple[tuple[tuple[_Word, ...], ...], str | None]:
+    """Split ``script`` into commands of words, without substituting.
+
+    Returns the commands up to the first malformed one and that
+    command's syntax error (``None`` if the whole script lexed), so
+    :meth:`TclInterp.run` can run the good prefix before raising, as
+    the interpreter does when it reads command by command.
+    """
+    commands: list[tuple[_Word, ...]] = []
+    i, n = 0, len(script)
+    try:
+        while i < n:
+            # Skip leading whitespace and command separators.
+            while i < n and script[i] in " \t\r\n;":
+                i += 1
+            if i >= n:
+                break
+            if script[i] == "#":
+                while i < n and script[i] != "\n":
+                    i += 1
+                continue
+            words: list[_Word] = []
+            while i < n and script[i] not in "\n;":
+                while i < n and script[i] in " \t\r":
+                    i += 1
+                if i >= n or script[i] in "\n;":
+                    break
+                word, i = _lex_word(script, i)
+                words.append(word)
+            if words:
+                commands.append(tuple(words))
+    except TclError as exc:
+        return tuple(commands), str(exc)
+    return tuple(commands), None
+
+
+def _lex_word(text: str, i: int) -> tuple[_Word, int]:
+    if text[i] == "{":
+        raw, i = TclInterp._read_braced(text, i)
+        return (raw, True), i
+    if text[i] == '"':
+        raw, i = TclInterp._read_quoted(text, i)
+        return (raw, not _needs_substitution(raw)), i
+    start = i
+    n = len(text)
+    depth = 0
+    while i < n:
+        c = text[i]
+        if c == "[":
+            depth += 1
+        elif c == "]" and depth > 0:
+            depth -= 1
+        elif depth == 0 and c in " \t\r\n;":
+            break
+        i += 1
+    raw = text[start:i]
+    return (raw, not _needs_substitution(raw)), i
 
 
 # --- list helpers (Tcl lists are whitespace-separated with braces) -----------
@@ -518,53 +559,58 @@ def _cmd_error(interp: TclInterp, args: list[str]) -> str:
 # --- expr: a recursive-descent parser over numbers/strings -------------------
 
 
+@lru_cache(maxsize=512)
+def _lex_expr(text: str) -> tuple[str, ...]:
+    """Tokens of ``text``, cached per expression text: a loop's
+    test lexes once, not once per iteration."""
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    two_char = {"&&", "||", "==", "!=", "<=", ">=", "**"}
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif text[i : i + 2] in two_char:
+            tokens.append(text[i : i + 2])
+            i += 2
+        elif c in "+-*/%()<>!":
+            tokens.append(c)
+            i += 1
+        elif c.isdigit() or c == ".":
+            start = i
+            while i < n and (text[i].isdigit() or text[i] in ".eE"
+                             or (text[i] in "+-" and text[i - 1] in "eE")):
+                i += 1
+            tokens.append(text[start:i])
+        elif c == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise TclError("unterminated string in expr")
+            tokens.append('"' + text[i + 1 : j])
+            i = j + 1
+        elif c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(text[start:i])
+        else:
+            raise TclError(f"unexpected character {c!r} in expr")
+    return tuple(tokens)
+
+
 class _ExprParser:
     """Grammar (precedence climbing): || && == != < <= > >= + - * / % unary."""
 
     def __init__(self, text: str) -> None:
-        self.tokens = self._lex(text)
+        self.tokens = _lex_expr(text)
         self.pos = 0
-
-    @staticmethod
-    def _lex(text: str) -> list[str]:
-        tokens: list[str] = []
-        i, n = 0, len(text)
-        two_char = {"&&", "||", "==", "!=", "<=", ">=", "**"}
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif text[i : i + 2] in two_char:
-                tokens.append(text[i : i + 2])
-                i += 2
-            elif c in "+-*/%()<>!":
-                tokens.append(c)
-                i += 1
-            elif c.isdigit() or c == ".":
-                start = i
-                while i < n and (text[i].isdigit() or text[i] in ".eE"
-                                 or (text[i] in "+-" and text[i - 1] in "eE")):
-                    i += 1
-                tokens.append(text[start:i])
-            elif c == '"':
-                j = text.find('"', i + 1)
-                if j < 0:
-                    raise TclError("unterminated string in expr")
-                tokens.append('"' + text[i + 1 : j])
-                i = j + 1
-            elif c.isalpha() or c == "_":
-                start = i
-                while i < n and (text[i].isalnum() or text[i] == "_"):
-                    i += 1
-                tokens.append(text[start:i])
-            else:
-                raise TclError(f"unexpected character {c!r} in expr")
-        return tokens
 
     def parse(self) -> str:
         value = self._or()
         if self.pos != len(self.tokens):
-            raise TclError(f"trailing tokens in expr: {self.tokens[self.pos:]}")
+            raise TclError(
+                f"trailing tokens in expr: {list(self.tokens[self.pos:])}"
+            )
         return self._format(value)
 
     @staticmethod

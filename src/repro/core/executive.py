@@ -250,6 +250,10 @@ class _ExecutiveDevice(Listener):
 class Executive:
     """One processing node's executive program."""
 
+    #: seconds ``hard_stop`` waits for the loop-of-control thread
+    #: before it raises
+    join_timeout_s = 5.0
+
     def __init__(
         self,
         node: int = 0,
@@ -790,10 +794,21 @@ class Executive:
         snapshotted is gone — that is the point.  Recovery happens in
         a *new* executive built from the durable state, never by
         reusing this object.
+
+        Raises :class:`I2OError` naming the loop-of-control thread if it
+        is still alive after :attr:`join_timeout_s` (a handler blocked
+        past it): draining the queues under a live loop would race it,
+        so nothing is torn down.
         """
-        if self._thread is not None:
+        thread = self._thread
+        if thread is not None:
             self._thread_stop.set()
-            self._thread.join(timeout=5.0)
+            thread.join(timeout=self.join_timeout_s)
+            if thread.is_alive():
+                raise I2OError(
+                    f"executive {self.node}: thread {thread.name} did not "
+                    f"stop within {self.join_timeout_s:g} s"
+                )
             self._thread = None
         self._halt_requested = True
         if self.flightrec is not None:
@@ -977,11 +992,13 @@ class Executive:
         observed = tracer is not None or timed or fr is not None or sw is not None
         if observed:
             start_ns = self.clock.now_ns()
-            token = tracer.begin_dispatch(frame, start_ns) if tracer else None
             # Snapshot before dispatch: the handler may free the frame,
             # after which reading it is a use-after-free.
             dispatch_ctx = frame.transaction_context
             dispatch_hdr = pack3(target, function, xfunction)
+            token = tracer.begin_dispatch(
+                frame, start_ns, dispatch_ctx, target, function, xfunction
+            ) if tracer else None
         else:
             start_ns, token = 0, None
             dispatch_ctx = dispatch_hdr = 0

@@ -67,7 +67,6 @@ from repro.i2o.tid import Tid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.durable.segments import SegmentStore
-    from repro.flightrec.recorder import FlightRecorder
 
 XF_REL_DATA = 0xF001
 XF_REL_ACK = 0xF002
@@ -205,6 +204,7 @@ class ReliableEndpoint(Listener):
         if state.next_seq > self._next_seq:
             self._next_seq = state.next_seq
         pending = journal.pending()
+        fr = exe.flightrec
         for seq in sorted(pending):
             record = pending[seq]
             if record.node == exe.node:
@@ -218,7 +218,6 @@ class ReliableEndpoint(Listener):
             # Replay bypasses send_reliable, so the send is recorded
             # here: a restarted node's black box shows the same seqs
             # leaving again.
-            fr = self._flightrec
             if fr is not None:
                 fr.record(
                     EV_REL_SEND, seq, record.node, len(record.payload)
@@ -243,17 +242,13 @@ class ReliableEndpoint(Listener):
             return route.node, route.remote_tid
         return exe.node, target
 
-    @property
-    def _flightrec(self) -> "FlightRecorder | None":
-        exe = self.executive
-        return exe.flightrec if exe is not None else None
-
     def _crash(self, point: str) -> None:
         if self.crash_hook is not None:
             # Record *before* invoking the hook: when it raises
             # ExecutiveCrashed the subsequent hard_stop spills the
             # ring, and the black box must already name the torn state.
-            fr = self._flightrec
+            exe = self.executive
+            fr = exe.flightrec if exe is not None else None
             if fr is not None:
                 fr.record(EV_CRASH_POINT, CRASH_POINT_CODES.get(point, 0))
             self.crash_hook(point)
@@ -272,22 +267,26 @@ class ReliableEndpoint(Listener):
         """
         seq = self._next_seq
         data = bytes(payload)
+        exe = self.executive
+        fr = exe.flightrec if exe is not None else None
         self._crash(CRASH_PRE_APPEND)
-        if self.journal is not None:
+        # Resolved at most once: the journal record and the flight
+        # recorder's EV_REL_SEND name the same node.
+        node: int | None = None
+        journal = self.journal
+        if journal is not None:
             node, remote_tid = self._stable_address(target)
-            self.journal.append_send(seq, node, int(remote_tid), data)
-            fr = self._flightrec
+            journal.append_send(seq, node, int(remote_tid), data)
             if fr is not None:
                 fr.record(EV_JOURNAL_COMMIT, seq)
         self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
         timer_id = self.start_timer(self.retransmit_ns, context=seq)
         self._pending[seq] = (target, data, self.max_retries, timer_id)
-        fr = self._flightrec
         if fr is not None:
-            fr.record(
-                EV_REL_SEND, seq, self._stable_address(target)[0], len(data)
-            )
+            if node is None:
+                node = self._stable_address(target)[0]
+            fr.record(EV_REL_SEND, seq, node, len(data))
         self._transmit(seq, target, data)
         return seq
 
@@ -332,9 +331,8 @@ class ReliableEndpoint(Listener):
 
         source = frame.initiator
         self.send_into(source, _HEADER.size, write_ack, xfunction=XF_REL_ACK)
-        fr = self._flightrec
-        if fr is not None:
-            exe = self._require_live()
+        exe = self.executive
+        if exe is not None and (fr := exe.flightrec) is not None:
             route = exe.route_for(source)
             src = route.node if route is not None else exe.node
             fr.record(EV_REL_DELIVER, seq, src, len(payload))
@@ -382,7 +380,8 @@ class ReliableEndpoint(Listener):
         entry = self._pending.pop(seq, None)
         if entry is not None:
             self.cancel_timer(entry[3])
-            fr = self._flightrec
+            exe = self.executive
+            fr = exe.flightrec if exe is not None else None
             if fr is not None:
                 fr.record(EV_REL_ACK, seq)
             self._crash(CRASH_PRE_ACK_RECORD)
@@ -416,7 +415,8 @@ class ReliableEndpoint(Listener):
         self.retransmissions += 1
         timer_id = self.start_timer(self.retransmit_ns, context=seq)
         self._pending[seq] = (target, payload, retries_left - 1, timer_id)
-        fr = self._flightrec
+        exe = self.executive
+        fr = exe.flightrec if exe is not None else None
         if fr is not None:
             fr.record(EV_REL_RETRANSMIT, seq, retries_left - 1)
         self._transmit(seq, target, payload)

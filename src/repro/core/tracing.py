@@ -142,15 +142,22 @@ class FrameTracer:
 
     # -- dispatch hooks -----------------------------------------------------
     def begin_dispatch(
-        self, frame: "Frame", now_ns: int
+        self,
+        frame: "Frame",
+        now_ns: int,
+        context: int,
+        target: int,
+        function: int,
+        xfunction: int,
     ) -> tuple[int, int, int, int, int]:
+        """Open the hop's span.  The caller passes the header fields it
+        has already read, so the tracer reads none of them again."""
         enqueued = frame.trace_mark
         frame.trace_mark = None
         queue_wait = now_ns - enqueued if enqueued is not None else 0
-        context = frame.transaction_context
         self._active = context if is_trace_context(context) else 0
         self._in_dispatch = True
-        return (queue_wait, frame.target, frame.function, frame.xfunction, now_ns)
+        return (queue_wait, target, function, xfunction, now_ns)
 
     def end_dispatch(
         self, token: tuple[int, int, int, int, int], now_ns: int
@@ -164,19 +171,10 @@ class FrameTracer:
         if len(self.spans) == self.capacity:
             self.dropped += 1
         self._span_seq += 1
-        self.spans.append(
-            Span(
-                trace_id=trace_id,
-                span_id=self._span_seq,
-                node=self.node or 0,
-                tid=target,
-                function=function,
-                xfunction=xfunction,
-                start_ns=start_ns,
-                queue_wait_ns=queue_wait,
-                dispatch_ns=now_ns - start_ns,
-            )
-        )
+        self.spans.append(Span(
+            trace_id, self._span_seq, self.node or 0, target, function,
+            xfunction, start_ns, queue_wait, now_ns - start_ns,
+        ))
 
     # -- export -------------------------------------------------------------
     def snapshot_spans(self) -> list[Span]:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.tclish import TclError, TclInterp, format_list, parse_list
+from repro.config.tclish import (
+    TclError,
+    TclInterp,
+    _lex_script,
+    format_list,
+    parse_list,
+)
 
 
 @pytest.fixture
@@ -237,3 +243,48 @@ class TestErrorsAndCatch:
     def test_custom_command_registration(self, tcl):
         tcl.register("greet", lambda interp, args: f"hello {args[0]}")
         assert tcl.run("greet cluster") == "hello cluster"
+
+
+class TestLexCache:
+    def test_commands_before_a_malformed_one_still_run(self, tcl):
+        for _ in range(2):  # the second run takes the cached lex
+            tcl.output.clear()
+            with pytest.raises(TclError, match="close-brace"):
+                tcl.run("set a 1; puts first\nputs {unclosed")
+            assert tcl.output == ["first"]
+            assert tcl.run("set a") == "1"
+
+    def test_malformed_quote_after_good_commands(self, tcl):
+        with pytest.raises(TclError, match="close-quote"):
+            tcl.run('puts one; puts "two')
+        assert tcl.output == ["one"]
+
+    def test_loop_body_lexed_once(self, tcl):
+        _lex_script.cache_clear()
+        tcl.run("set i 0; while {$i < 200} {incr i; set last $i}")
+        assert tcl.run("set last") == "200"
+        # the script, the body, and the final ``set last`` — not one
+        # lex per iteration
+        assert _lex_script.cache_info().misses <= 3
+
+    def test_cached_script_substitutes_current_values(self, tcl):
+        tcl.run("set v 1")
+        tcl.run("puts $v")
+        tcl.run("set v 2")
+        tcl.run("puts $v")
+        assert tcl.output == ["1", "2"]
+
+    def test_literal_words_skip_substitution(self, tcl):
+        calls = []
+        original = tcl.substitute
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        tcl.substitute = counting
+        tcl.run("set x {$not_a_var}; set y plain; puts \"quoted\"")
+        assert calls == []
+        tcl.run("set z $x")
+        assert calls == ["$x"]
+        assert tcl.run("set z") == "$not_a_var"

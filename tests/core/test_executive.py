@@ -292,3 +292,32 @@ class TestThreadMode:
 
     def test_stop_without_start_is_noop(self):
         Executive().stop()
+
+    def test_hard_stop_raises_when_the_loop_outlives_its_timeout(self):
+        """A handler blocked past ``join_timeout_s`` keeps the loop
+        alive: ``hard_stop`` must say so, naming the thread, and leave
+        the queues to the live loop instead of draining under it."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        exe = Executive(node=3)
+        exe.join_timeout_s = 0.05
+        blocker = Sink("blocker")
+        sender = Sink("sender")
+        tid = exe.install(blocker)
+        exe.install(sender)
+        blocker.bind(0x01, lambda f: (entered.set(), release.wait(10.0)))
+        exe.start(poll_interval=0.001)
+        try:
+            sender.send(tid, b"block", xfunction=0x01)
+            assert entered.wait(5.0), "handler never ran"
+            sender.send(tid, b"queued", xfunction=0x01)
+            with pytest.raises(I2OError, match="executive-3.*0.05 s"):
+                exe.hard_stop()
+            assert exe.state is not DeviceState.FAILED
+        finally:
+            release.set()
+        exe.hard_stop()  # the loop now exits at its next check
+        assert exe.state is DeviceState.FAILED
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0

@@ -175,7 +175,10 @@ class TestSpans:
         # id()) enqueued much later must measure from *its* enqueue.
         tracer.note_enqueue(frame, clock.t)
         clock.t = 1_000_500
-        token = tracer.begin_dispatch(frame, clock.t)
+        token = tracer.begin_dispatch(
+            frame, clock.t, frame.transaction_context, frame.target,
+            frame.function, frame.xfunction,
+        )
         assert token[0] == 500  # queue_wait, not 1_000_500
 
     def test_timer_contexts_survive_untraced(self):
