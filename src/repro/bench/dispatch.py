@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.bench.report import format_table
 from repro.core.device import Listener
@@ -67,27 +68,36 @@ class DispatchResult:
         )
 
 
+def drain_once(
+    make_exe: Callable[[], Executive], messages: int, devices: int = 1
+) -> float:
+    """ns per message for a fresh executive draining ``messages``
+    preloaded frames round-robin into ``devices`` sink devices."""
+    exe = make_exe()
+    sinks = [_Sink(name=f"sink{i}") for i in range(devices)]
+    tids = [exe.install(s) for s in sinks]
+    for i in range(messages):
+        tid = tids[i % devices]
+        frame = exe.frame_alloc(8, target=tid, initiator=tid, xfunction=0x0001)
+        exe.post_inbound(frame)
+    t0 = time.perf_counter_ns()
+    exe.run_until_idle()
+    elapsed = time.perf_counter_ns() - t0
+    delivered = sum(s.hits for s in sinks)
+    if delivered != messages:
+        raise RuntimeError(f"lost messages: {delivered}/{messages}")
+    return elapsed / messages
+
+
 def run_dispatch(
     device_counts: tuple[int, ...] = DEFAULT_DEVICE_COUNTS,
     messages: int = 20_000,
 ) -> DispatchResult:
     result = DispatchResult()
     for count in device_counts:
-        exe = Executive(node=0, max_dispatch_per_step=1024)
-        sinks = [_Sink(name=f"sink{i}") for i in range(count)]
-        tids = [exe.install(s) for s in sinks]
-        for i in range(messages):
-            frame = exe.frame_alloc(
-                8, target=tids[i % count], initiator=tids[i % count],
-                xfunction=0x0001,
-            )
-            exe.post_inbound(frame)
-        t0 = time.perf_counter_ns()
-        exe.run_until_idle()
-        elapsed = time.perf_counter_ns() - t0
-        delivered = sum(s.hits for s in sinks)
-        if delivered != messages:
-            raise RuntimeError(f"lost messages: {delivered}/{messages}")
         result.device_counts.append(count)
-        result.ns_per_message.append(elapsed / messages)
+        result.ns_per_message.append(drain_once(
+            lambda: Executive(node=0, max_dispatch_per_step=1024),
+            messages, count,
+        ))
     return result

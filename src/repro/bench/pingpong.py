@@ -11,6 +11,7 @@ in real time over an in-process transport, measured with real clocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -117,13 +118,16 @@ def run_native_pingpong(
     *,
     probes: bool = False,
     warmup: int = 20,
+    arm: Callable[[Executive], None] | None = None,
 ) -> PingPongResult:
     """Real-time ping-pong over the in-process queue transport.
 
     Single-threaded: both executives are stepped from this loop, so the
     measurement is pure framework cost plus queue handoff — the native
     analogue of the blackbox test (absolute numbers are Python's, the
-    *structure* matches; see EXPERIMENTS.md).
+    *structure* matches; see EXPERIMENTS.md).  ``arm`` is applied to
+    both executives before any device is installed (X11 arms its
+    observers with it).
     """
     from repro.transports.queued import QueuePair, QueueTransport
 
@@ -134,12 +138,12 @@ def run_native_pingpong(
         node=1, probes=Probes("wall") if probes else Probes("off")
     )
     pair = QueuePair(0, 1)
-    PeerTransportAgent.attach(exe_a).register(
-        QueueTransport(pair, name="q"), default=True
-    )
-    PeerTransportAgent.attach(exe_b).register(
-        QueueTransport(pair, name="q"), default=True
-    )
+    for exe in (exe_a, exe_b):
+        PeerTransportAgent.attach(exe).register(
+            QueueTransport(pair, name="q"), default=True
+        )
+        if arm is not None:
+            arm(exe)
     echo = EchoDevice()
     echo_tid = exe_b.install(echo)
     ping = PingDevice()

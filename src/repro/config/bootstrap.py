@@ -43,9 +43,11 @@ Device classes are addressed by import path; instances by unique name.
 from __future__ import annotations
 
 import importlib
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.config.schema import ParamSchema, SchemaError
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import I2OError
@@ -245,33 +247,51 @@ def bootstrap(spec: dict[str, Any]) -> Cluster:
                 )
             tid = exe.install(device)
             cluster.devices[name] = (int(node), tid, device)
-    supervision = spec.get("supervision")
-    if supervision is not None:
-        _wire_supervision(cluster, dict(supervision))
-    telemetry = spec.get("telemetry")
-    if telemetry is not None:
-        _wire_telemetry(cluster, dict(telemetry))
-    durability = spec.get("durability")
-    if durability is not None:
-        _wire_durability(cluster, dict(durability))
-    flightrec = spec.get("flight_recorder")
-    if flightrec is not None:
-        _wire_flightrec(cluster, dict(flightrec))
-    profiling = spec.get("profiling")
-    if profiling is not None:
+    for key, wire in (
+        ("supervision", _wire_supervision),
+        ("telemetry", _wire_telemetry),
+        ("durability", _wire_durability),
+        ("flight_recorder", _wire_flightrec),
         # After flight_recorder, so the slow-frame watch can spill.
-        _wire_profiling(cluster, dict(profiling))
-    dataflow = spec.get("dataflow")
-    if dataflow is not None:
-        if not isinstance(dataflow, dict):
-            raise BootstrapError(
-                f"'dataflow' section must be a mapping, "
-                f"got {type(dataflow).__name__}"
-            )
+        ("profiling", _wire_profiling),
         # Last, so the derived routes cover every installed device —
         # including the ones the sections above added.
-        _wire_dataflow(cluster, dict(dataflow))
+        ("dataflow", _wire_dataflow),
+    ):
+        section = spec.get(key)
+        if section is None:
+            continue
+        if not isinstance(section, dict):
+            raise BootstrapError(
+                f"{key!r} section must be a mapping, "
+                f"got {type(section).__name__}"
+            )
+        wire(cluster, dict(section))
     return cluster
+
+
+def _section(
+    name: str, schema: ParamSchema, conf: dict[str, Any],
+    *, needs_dir: bool = False,
+) -> dict[str, Any]:
+    """Validate spec section ``name`` against ``schema``; returns every
+    schema parameter, defaults filled in.  Spec values may be typed or
+    wire strings.  With ``needs_dir`` the section must carry a ``dir``
+    path, returned under ``"dir"``."""
+    merged: dict[str, Any] = {spec.name: spec.default for spec in schema}
+    if needs_dir:
+        directory = merged["dir"] = conf.pop("dir", None)
+        if not directory or not isinstance(directory, (str, os.PathLike)):
+            raise BootstrapError(f"{name} section needs a 'dir' path")
+    try:
+        merged.update(schema.validate_update(
+            {key: schema.spec(key).format(value)
+             if not isinstance(value, str) else value
+             for key, value in conf.items()}
+        ))
+    except SchemaError as exc:
+        raise BootstrapError(f"bad {name} section: {exc}") from exc
+    return merged
 
 
 def _wire_supervision(cluster: Cluster, conf: dict[str, Any]) -> None:
@@ -339,24 +359,11 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
     ``evm.recover()`` after ``connect()`` — because restoring before
     the RU/BU wiring exists would relaunch events into the void.
     """
-    import os
-
-    from repro.config.schema import DURABILITY_SCHEMA, SchemaError
+    from repro.config.schema import DURABILITY_SCHEMA
     from repro.durable.segments import SegmentStore, SnapshotStore
 
-    directory = conf.pop("dir", None)
-    if not directory or not isinstance(directory, (str, os.PathLike)):
-        raise BootstrapError("durability section needs a 'dir' path")
-    try:
-        options = DURABILITY_SCHEMA.validate_update(
-            {key: DURABILITY_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad durability section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in DURABILITY_SCHEMA}
-    merged.update(options)
+    merged = _section("durability", DURABILITY_SCHEMA, conf, needs_dir=True)
+    directory = merged["dir"]
     os.makedirs(directory, exist_ok=True)
     for name, (_node, _tid, device) in sorted(cluster.devices.items()):
         if merged["journals"] and device.device_class == "reliable_endpoint":
@@ -391,24 +398,13 @@ def _wire_flightrec(cluster: Cluster, conf: dict[str, Any]) -> None:
     sanitizer violations and uncaught dispatch exceptions; decode with
     ``python -m repro.flightrec``.
     """
-    import os
-
-    from repro.config.schema import FLIGHT_RECORDER_SCHEMA, SchemaError
+    from repro.config.schema import FLIGHT_RECORDER_SCHEMA
     from repro.flightrec.recorder import FlightRecorder
 
-    directory = conf.pop("dir", None)
-    if not directory or not isinstance(directory, (str, os.PathLike)):
-        raise BootstrapError("flight_recorder section needs a 'dir' path")
-    try:
-        options = FLIGHT_RECORDER_SCHEMA.validate_update(
-            {key: FLIGHT_RECORDER_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad flight_recorder section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in FLIGHT_RECORDER_SCHEMA}
-    merged.update(options)
+    merged = _section(
+        "flight_recorder", FLIGHT_RECORDER_SCHEMA, conf, needs_dir=True
+    )
+    directory = merged["dir"]
     os.makedirs(directory, exist_ok=True)
     for node in sorted(cluster.executives):
         exe = cluster.executives[node]
@@ -445,21 +441,12 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
     :meth:`Cluster.start_all` — in single-threaded pump loops call
     ``cluster.profiler.watch_thread(node)`` then ``start()`` yourself.
     """
-    from repro.config.schema import PROFILING_SCHEMA, SchemaError
-    from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+    from repro.config.schema import PROFILING_SCHEMA
+    from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
     from repro.profile.sampler import SamplingProfiler
     from repro.profile.watch import SlowFrameWatch
 
-    try:
-        options = PROFILING_SCHEMA.validate_update(
-            {key: PROFILING_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad profiling section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in PROFILING_SCHEMA}
-    merged.update(options)
+    merged = _section("profiling", PROFILING_SCHEMA, conf)
     if bool(merged["sampling"]):
         profiler = SamplingProfiler(
             hz=float(merged["hz"]), max_depth=int(merged["max_depth"])
@@ -500,6 +487,7 @@ def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
             "keep_spans": 8192,         # collector-side span bound
         }
     """
+    from repro.core.metrics import DispatchTiming
     from repro.core.telemetry import TelemetryAgent, TelemetryCollector
     from repro.core.tracing import FrameTracer
 
@@ -519,9 +507,9 @@ def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
     for node in nodes:
         exe = cluster.executives[node]
         if tracing:
-            exe.tracer = FrameTracer(node=node, capacity=capacity)
+            exe.observe(FrameTracer(node=node, capacity=capacity))
         if conf.get("metrics_timing"):
-            exe.metrics.timing = True
+            exe.observe(DispatchTiming(exe.metrics))
     if not conf.get("collector", True):
         return
     for node in nodes:
@@ -569,20 +557,11 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
     :class:`~repro.dataflow.routing.DataflowOutbox` retried from the
     executive's poll loop.
     """
-    from repro.config.schema import DATAFLOW_SCHEMA, SchemaError
+    from repro.config.schema import DATAFLOW_SCHEMA
     from repro.dataflow.graph import DataflowGraph, node_for_device
     from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge
 
-    try:
-        options = DATAFLOW_SCHEMA.validate_update(
-            {key: DATAFLOW_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad dataflow section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in DATAFLOW_SCHEMA}
-    merged.update(options)
+    merged = _section("dataflow", DATAFLOW_SCHEMA, conf)
     edge_credits = int(merged["edge_credits"])
     park_limit = int(merged["park_limit"])
     backpressure = bool(merged["backpressure"])

@@ -31,7 +31,7 @@ from repro.core.device import RETAIN, Listener
 from repro.core.interrupts import InterruptController
 from repro.core.metrics import MetricsRegistry
 from repro.core.probes import Probes
-from repro.core.tracing import FrameTracer, is_trace_context
+from repro.core.tracing import DispatchObserver, FrameTracer
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry
 from repro.core.scheduler import PriorityScheduler
@@ -69,9 +69,6 @@ from repro.i2o.tid import (
     check_tid,
 )
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
-    EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
     EV_FRAME_RELEASE,
     EV_HARD_STOP,
@@ -91,18 +88,9 @@ from repro.mem.pool import BufferPool, PoolExhausted
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.routing import CreditLedger, DataflowOutbox
     from repro.flightrec.recorder import FlightRecorder
-    from repro.profile.sampler import DispatchSlot
-    from repro.profile.watch import SlowFrameWatch
     from repro.transports.agent import PeerTransportAgent
 
 logger = logging.getLogger(__name__)
-
-#: Upper bounds (ns) for the optional dispatch-latency histogram.
-#: Spaced to resolve both the paper's µs-scale framework overheads and
-#: pathological multi-ms handlers.
-DISPATCH_LATENCY_BUCKETS_NS: tuple[int, ...] = (
-    1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 10_000_000,
-)
 
 
 @dataclass(frozen=True)
@@ -274,29 +262,22 @@ class Executive:
         self.watchdog = watchdog
         self.max_dispatch_per_step = max_dispatch_per_step
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if tracer is not None and tracer.node is None:
-            tracer.node = node
-        #: ``None`` disables tracing entirely: the hot path pays one
-        #: ``is not None`` test per hook, nothing else.
-        self.tracer = tracer
-        #: the black-box flight recorder; same off-mode discipline as
-        #: the tracer (set via :meth:`attach_flight_recorder`).
+        #: the dispatch observers, in arming order; empty keeps the
+        #: dispatch loop at one test of this tuple and no clock read.
+        #: Change it only through :meth:`observe` / :meth:`unobserve`.
+        self.observers: tuple[DispatchObserver, ...] = ()
+        #: the armed tracer, which also stamps sends and enqueues
+        #: (armed via :meth:`observe`); ``None`` costs the send and
+        #: enqueue paths one ``is not None`` test each.
+        self.tracer: FrameTracer | None = None
+        #: the black-box flight recorder, which also records frame and
+        #: liveness events (set via :meth:`attach_flight_recorder`).
         self.flightrec: "FlightRecorder | None" = None
         #: backpressure state, set by bootstrap when the spec enables
         #: the dataflow layer; ``None`` keeps the dispatch path at one
-        #: ``is None`` test (the tracer/flightrec off-mode discipline).
+        #: ``is None`` test.
         self.dataflow: "CreditLedger | None" = None
         self.dataflow_outbox: "DataflowOutbox | None" = None
-        #: current-dispatch slot for the sampling profiler: the
-        #: dispatch loop publishes ``(target, function, xfunction)``
-        #: with one reference store per dispatch while a profiler is
-        #: attached; ``None`` keeps the hot path at one ``is None``
-        #: test (the tracer off-mode discipline).
-        self.profile: "DispatchSlot | None" = None
-        #: slow-frame watchdog: when set, a dispatch exceeding its
-        #: budget records EV_SLOW_FRAME and spills the flight
-        #: recorder; same ``is None`` off-mode contract.
-        self.slow_watch: "SlowFrameWatch | None" = None
 
         self.tids = TidAllocator()
         self.scheduler = PriorityScheduler()
@@ -341,10 +322,9 @@ class Executive:
         self._devices[EXECUTIVE_TID] = self._self_device
         self._names[self._self_device.name] = EXECUTIVE_TID
 
-        self._dispatch_hist = self.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        )
         self._register_core_metrics()
+        if tracer is not None:
+            self.observe(tracer)
         if flightrec is not None:
             self.attach_flight_recorder(flightrec)
 
@@ -384,17 +364,44 @@ class Executive:
             lambda: self.tracer.dropped if self.tracer is not None else 0,
         )
 
+    def observe(self, observer: DispatchObserver) -> None:
+        """Arm a dispatch observer: from the next dispatch on it
+        receives the dispatch record (see
+        :class:`~repro.core.tracing.DispatchObserver`).
+
+        A :class:`~repro.core.tracing.FrameTracer` also becomes
+        :attr:`tracer`, adopting this node's id when it has none; one
+        tracer per executive.
+        """
+        if observer in self.observers:
+            raise I2OError(f"node {self.node}: {observer!r} is already armed")
+        if isinstance(observer, FrameTracer):
+            if self.tracer is not None:
+                raise I2OError(f"node {self.node} already has a tracer")
+            if observer.node is None:
+                observer.node = self.node
+            self.tracer = observer
+        self.observers += (observer,)
+
+    def unobserve(self, observer: DispatchObserver) -> None:
+        """Disarm a dispatch observer; with the last one gone the
+        dispatch loop is back to its single empty-tuple test."""
+        self.observers = tuple(o for o in self.observers if o is not observer)
+        if observer is self.tracer:
+            self.tracer = None
+        if observer is self.flightrec:
+            self.flightrec = None
+
     def attach_flight_recorder(self, recorder: "FlightRecorder") -> None:
         """Wire a black-box :class:`~repro.flightrec.FlightRecorder`.
 
         Adopts this executive's node id and clock when the recorder
-        has none, subscribes liveness transitions from the peer table,
+        has none, arms it as a dispatch observer (BEGIN/END/ERROR
+        records), subscribes liveness transitions from the peer table,
         hooks sanitizer violations (when the pool's allocator exposes
         the ``on_violation`` callback slot) so a use-after-free or
         double free spills the ring before raising, and exposes the
-        recorder's own accounting as callback gauges.  The dispatch
-        hot path then pays one ``is None`` test plus one ring write
-        per hook — the tracer discipline.
+        recorder's own accounting as callback gauges.
         """
         if self.flightrec is not None:
             raise I2OError(
@@ -404,6 +411,7 @@ class Executive:
             recorder.node = self.node
         if recorder.clock is None:
             recorder.clock = self.clock
+        self.observe(recorder)
         self.flightrec = recorder
         record = recorder.record
         self.peers.on_alive(lambda node: record(EV_LIVENESS, node, LIVE_ALIVE))
@@ -979,33 +987,17 @@ class Executive:
             # The frame left its priority FIFO: the consumer's queue
             # slot is free, so the emitting edge gets its credit back.
             self.dataflow.on_dispatched(self.node, target, function, xfunction)
-        tracer = self.tracer
-        timed = self.metrics.timing
-        fr = self.flightrec
-        sw = self.slow_watch
-        prof = self.profile
-        if prof is not None:
-            # Publish the dispatch context for the sampler thread: one
-            # reference store of an immutable tuple, read racily but
-            # atomically from the sampler side.
-            prof.current = (target, function, xfunction)
-        observed = tracer is not None or timed or fr is not None or sw is not None
-        if observed:
+        observers = self.observers
+        if observers:
             start_ns = self.clock.now_ns()
-            # Snapshot before dispatch: the handler may free the frame,
-            # after which reading it is a use-after-free.
-            dispatch_ctx = frame.transaction_context
-            dispatch_hdr = pack3(target, function, xfunction)
-            token = tracer.begin_dispatch(
-                frame, start_ns, dispatch_ctx, target, function, xfunction
-            ) if tracer else None
-        else:
-            start_ns, token = 0, None
-            dispatch_ctx = dispatch_hdr = 0
-        if fr is not None:
-            fr.record(
-                EV_DISPATCH_BEGIN, dispatch_ctx, dispatch_hdr, t_ns=start_ns
-            )
+            # The dispatch record every observer receives.  Snapshot it
+            # before dispatch: the handler may free the frame, after
+            # which reading it is a use-after-free.
+            ctx = frame.transaction_context
+            hdr = pack3(target, function, xfunction)
+            for obs in observers:
+                obs.begin_dispatch(frame, ctx, hdr, start_ns)
+        failed = False
         # Probe spans (Table 1 stages) exist only when probes are live:
         # off mode costs this one attribute read per dispatch.  Spans
         # are closed before any handler below runs, as a ``with``
@@ -1017,48 +1009,42 @@ class Executive:
             device = self._devices.get(target)
             if device is None:
                 # Device vanished between queueing and dispatch.
-                self._release_frame(frame)
-                self.dropped += 1
-                if prof is not None:
-                    prof.current = None
-                if tracer is not None:
-                    tracer.end_dispatch(token, self.clock.now_ns())
-                if fr is not None:
-                    fr.record(EV_DISPATCH_END, dispatch_ctx, dispatch_hdr)
                 if span is not None:
                     span.end()
-                return True
-            functor = device.table.lookup_key(function, xfunction)
-            if span is not None:
-                span.end()
-                span = probes.begin("upcall")
-            thunk = functor.prepare(frame, function, xfunction)
-            if span is not None:
-                span.end()
-                accrued_before = probes.accrued_ns
-                span = probes.begin("application")
-            if self.watchdog is not None and probes.mode != "model":
-                with self.watchdog.guard(label=device.name):
-                    result = thunk()
+                self._release_frame(frame)
+                self.dropped += 1
             else:
-                result = thunk()
-            if span is not None:
-                span.end()
-                span = None
-                if (
-                    self.watchdog is not None
-                    and probes.mode == "model"
-                    and (probes.accrued_ns - accrued_before)
-                    > self.watchdog.limit_ns
-                ):
-                    # Simulation plane: the handler's *modelled* cost
-                    # blew the budget — same quarantine as a wall-clock
-                    # overrun.
-                    self.watchdog.overruns += 1
-                    raise WatchdogTimeout(
-                        f"handler {device.name} modelled cost exceeded "
-                        f"{self.watchdog.limit_ns} ns"
-                    )
+                functor = device.table.lookup_key(function, xfunction)
+                if span is not None:
+                    span.end()
+                    span = probes.begin("upcall")
+                thunk = functor.prepare(frame, function, xfunction)
+                if span is not None:
+                    span.end()
+                    accrued_before = probes.accrued_ns
+                    span = probes.begin("application")
+                if self.watchdog is not None and probes.mode != "model":
+                    with self.watchdog.guard(label=device.name):
+                        result = thunk()
+                else:
+                    result = thunk()
+                if span is not None:
+                    span.end()
+                    span = None
+                    if (
+                        self.watchdog is not None
+                        and probes.mode == "model"
+                        and (probes.accrued_ns - accrued_before)
+                        > self.watchdog.limit_ns
+                    ):
+                        # Simulation plane: the handler's *modelled*
+                        # cost blew the budget — same quarantine as a
+                        # wall-clock overrun.
+                        self.watchdog.overruns += 1
+                        raise WatchdogTimeout(
+                            f"handler {device.name} modelled cost exceeded "
+                            f"{self.watchdog.limit_ns} ns"
+                        )
         except WatchdogTimeout as exc:
             if span is not None:
                 span.end()
@@ -1069,6 +1055,7 @@ class Executive:
             if span is not None:
                 span.end()
             self.handler_errors += 1
+            failed = True
             logger.error(
                 "node %s: handler error for %s at TiD %d: %s",
                 self.node,
@@ -1076,9 +1063,6 @@ class Executive:
                 target,
                 exc,
             )
-            if fr is not None:
-                fr.record(EV_DISPATCH_ERROR, dispatch_ctx, dispatch_hdr)
-                fr.spill("dispatch-exception")
             if not frame.is_reply and frame.initiator != target:
                 self._send_failure_reply(frame)
             result = None
@@ -1093,37 +1077,25 @@ class Executive:
                 span.end()
             self._release_frame(frame)
             raise
-        self.dispatched += 1
-        if live:
-            span = probes.begin("postprocess")
-            try:
-                if result is not RETAIN:
-                    self.frame_free(frame)
-            finally:
-                span.end()
-        elif result is not RETAIN:
-            self.frame_free(frame)
-        if prof is not None:
-            prof.current = None
-        if observed:
+        if device is not None:
+            self.dispatched += 1
+            if live:
+                span = probes.begin("postprocess")
+                try:
+                    if result is not RETAIN:
+                        self.frame_free(frame)
+                finally:
+                    span.end()
+            elif result is not RETAIN:
+                self.frame_free(frame)
+        if observers:
+            # The one observer exit: handled, failed and vanished-device
+            # dispatches all leave through here.
             end_ns = self.clock.now_ns()
-            elapsed = end_ns - start_ns
-            if tracer is not None:
-                tracer.end_dispatch(token, end_ns)
-            if timed:
-                # Traced dispatches pin their trace id to the latency
-                # bucket they land in (OpenMetrics exemplars).
-                self._dispatch_hist.observe(
-                    elapsed,
-                    dispatch_ctx if is_trace_context(dispatch_ctx) else 0,
-                )
-            if fr is not None:
-                fr.record(
-                    EV_DISPATCH_END, dispatch_ctx, dispatch_hdr,
-                    elapsed, t_ns=end_ns,
-                )
-            if sw is not None and elapsed > sw.budget_ns:
-                sw.note(dispatch_ctx, dispatch_hdr, elapsed, end_ns)
+            for obs in observers:
+                if failed:
+                    obs.dispatch_error(ctx, hdr, start_ns, end_ns)
+                obs.end_dispatch(ctx, hdr, start_ns, end_ns)
         return True
 
     def _send_failure_reply(self, request: Frame) -> None:

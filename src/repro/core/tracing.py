@@ -26,9 +26,11 @@ stitched *across* nodes by the collector.  Spans live in a bounded
 ring (old spans fall off; ``dropped`` counts them), so tracing can
 stay on in production without growing memory.
 
-When no tracer is installed the executive pays a single ``is not
-None`` test per dispatch — the off-mode no-op discipline ``Probes``
-already established.
+The tracer is one of the executive's dispatch observers
+(:class:`DispatchObserver`): every observer receives the same
+per-dispatch record the flight recorder stores as
+``EV_DISPATCH_BEGIN``/``EV_DISPATCH_END``, and with none armed the
+dispatch loop pays a single test of its empty observer tuple.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Discriminator in the top 12 bits of a trace id.
 TRACE_TAG = 0xACE
-_TAG_SHIFT = 52
+TRACE_TAG_SHIFT = 52
 _NODE_SHIFT = 40
 _SEQ_MASK = (1 << _NODE_SHIFT) - 1
 
@@ -50,7 +52,7 @@ _SEQ_MASK = (1 << _NODE_SHIFT) - 1
 def make_trace_id(node: int, seq: int) -> int:
     """Build a tagged 64-bit trace id rooted at ``node``."""
     return (
-        (TRACE_TAG << _TAG_SHIFT)
+        (TRACE_TAG << TRACE_TAG_SHIFT)
         | ((node & 0xFFF) << _NODE_SHIFT)
         | (seq & _SEQ_MASK)
     )
@@ -58,7 +60,7 @@ def make_trace_id(node: int, seq: int) -> int:
 
 def is_trace_context(value: int) -> bool:
     """True when a ``transaction_context`` value carries a trace id."""
-    return (value >> _TAG_SHIFT) == TRACE_TAG
+    return (value >> TRACE_TAG_SHIFT) == TRACE_TAG
 
 
 def trace_root_node(trace_id: int) -> int:
@@ -81,7 +83,41 @@ class Span:
     dispatch_ns: int
 
 
-class FrameTracer:
+class DispatchObserver:
+    """A consumer of the executive's one per-dispatch record.
+
+    Armed with :meth:`~repro.core.executive.Executive.observe`, an
+    observer receives the fields of the flight recorder's 48-byte
+    ``EV_DISPATCH_BEGIN``/``EV_DISPATCH_END`` records: the frame's
+    ``transaction_context`` (``ctx``), the packed ``(target, function,
+    xfunction)`` header (``hdr``, see
+    :func:`~repro.flightrec.records.pack3`) and the dispatch's start
+    and end clock readings.  The executive reads the clock and the
+    header once per dispatch, however many observers are armed, and
+    calls them in arming order.  :meth:`dispatch_error` runs just
+    before :meth:`end_dispatch` when the handler raised.  The hooks
+    do nothing by default; subclasses override what they consume.
+    """
+
+    __slots__ = ()
+
+    def begin_dispatch(
+        self, frame: "Frame", ctx: int, hdr: int, start_ns: int
+    ) -> None:
+        pass
+
+    def end_dispatch(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        pass
+
+    def dispatch_error(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        pass
+
+
+class FrameTracer(DispatchObserver):
     """Per-executive trace-id allocator and span ring.
 
     The executive drives it from four hook points, all passing the
@@ -94,8 +130,8 @@ class FrameTracer:
       ``transaction_context`` (application and timer contexts, and
       contexts already carried across the wire, pass untouched);
     * :meth:`note_enqueue` when a frame enters the scheduler;
-    * :meth:`begin_dispatch` / :meth:`end_dispatch` around the upcall,
-      recording the hop's span;
+    * :meth:`begin_dispatch` / :meth:`end_dispatch` around the upcall
+      (as a dispatch observer), recording the hop's span;
     * :meth:`forget` when a frame is released without dispatch.
     """
 
@@ -109,6 +145,7 @@ class FrameTracer:
         self._span_seq = 0
         self._active = 0
         self._in_dispatch = False
+        self._queue_wait = 0
 
     # -- trace-id allocation ------------------------------------------------
     def _fresh_id(self) -> int:
@@ -142,38 +179,31 @@ class FrameTracer:
 
     # -- dispatch hooks -----------------------------------------------------
     def begin_dispatch(
-        self,
-        frame: "Frame",
-        now_ns: int,
-        context: int,
-        target: int,
-        function: int,
-        xfunction: int,
-    ) -> tuple[int, int, int, int, int]:
-        """Open the hop's span.  The caller passes the header fields it
-        has already read, so the tracer reads none of them again."""
+        self, frame: "Frame", ctx: int, hdr: int, start_ns: int
+    ) -> None:
+        """Open the hop: its queue wait, and the trace that sends made
+        during the dispatch continue."""
         enqueued = frame.trace_mark
         frame.trace_mark = None
-        queue_wait = now_ns - enqueued if enqueued is not None else 0
-        self._active = context if is_trace_context(context) else 0
+        self._queue_wait = start_ns - enqueued if enqueued is not None else 0
+        self._active = ctx if (ctx >> TRACE_TAG_SHIFT) == TRACE_TAG else 0
         self._in_dispatch = True
-        return (queue_wait, target, function, xfunction, now_ns)
 
     def end_dispatch(
-        self, token: tuple[int, int, int, int, int], now_ns: int
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
     ) -> None:
         trace_id = self._active
         self._active = 0
         self._in_dispatch = False
         if trace_id == 0:
             return
-        queue_wait, target, function, xfunction, start_ns = token
         if len(self.spans) == self.capacity:
             self.dropped += 1
         self._span_seq += 1
         self.spans.append(Span(
-            trace_id, self._span_seq, self.node or 0, target, function,
-            xfunction, start_ns, queue_wait, now_ns - start_ns,
+            trace_id, self._span_seq, self.node or 0, hdr >> 32,
+            (hdr >> 16) & 0xFFFF, hdr & 0xFFFF, start_ns, self._queue_wait,
+            end_ns - start_ns,
         ))
 
     # -- export -------------------------------------------------------------

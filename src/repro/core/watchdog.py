@@ -71,22 +71,29 @@ class HandlerWatchdog:
             timer.start()
         start = time.perf_counter_ns()
         try:
-            yield
+            try:
+                yield
+            finally:
+                if timer is not None:
+                    timer.cancel()
+                    # After the join the injection has either never
+                    # happened or been made in full.
+                    timer.join()
+                    if fired.is_set():
+                        # It may have raced the handler's completion and
+                        # still be pending: let it land here, where it is
+                        # caught below, not in whatever code runs next.
+                        # (Overwriting it with NULL instead leaves
+                        # CPython 3.11's eval breaker set with nothing
+                        # to consume it: a later profiled call spins.)
+                        for _ in range(8):
+                            pass
         except WatchdogTimeout:
             self.overruns += 1
             raise WatchdogTimeout(
                 f"handler {label or '?'} terminated after exceeding "
                 f"{self.limit_ns} ns"
             ) from None
-        finally:
-            if timer is not None:
-                timer.cancel()
-                if fired.is_set():
-                    # The injection raced handler completion; clear any
-                    # still-pending async exception by overwriting with NULL.
-                    ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                        ctypes.c_ulong(victim), None
-                    )
         elapsed = time.perf_counter_ns() - start
         if elapsed > self.limit_ns:
             self.overruns += 1

@@ -42,7 +42,11 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.tracing import DispatchObserver
 from repro.flightrec.records import (
+    EV_DISPATCH_BEGIN,
+    EV_DISPATCH_END,
+    EV_DISPATCH_ERROR,
     RECORD_SIZE,
     RECORD_STRUCT,
     FlightRecError,
@@ -50,6 +54,7 @@ from repro.flightrec.records import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.clock import Clock
+    from repro.i2o.frame import Frame
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +67,12 @@ DUMP_HEADER_SIZE = DUMP_HEADER.size  # 52
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-class FlightRecorder:
+class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
+
+    As a dispatch observer it stores the dispatch record itself:
+    ``EV_DISPATCH_BEGIN``/``EV_DISPATCH_END`` around every upcall and
+    ``EV_DISPATCH_ERROR`` plus a spill when the handler raised.
 
     ``node`` and ``clock`` may be left unset; they are adopted from
     the executive at :meth:`~repro.core.executive.Executive.attach_flight_recorder`
@@ -132,6 +141,36 @@ class FlightRecorder:
             self._ring, (seq % self.capacity) * RECORD_SIZE,
             seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
         )
+
+    # -- the dispatch record --------------------------------------------------
+    # BEGIN and END write the ring inline, as record() does: they run
+    # on every dispatch, and the generic call costs half as much again.
+    def begin_dispatch(
+        self, frame: "Frame", ctx: int, hdr: int, start_ns: int
+    ) -> None:
+        seq = self._seq
+        self._seq = seq + 1
+        RECORD_STRUCT.pack_into(
+            self._ring, (seq % self.capacity) * RECORD_SIZE,
+            seq, start_ns & _U64, ctx, hdr, 0, EV_DISPATCH_BEGIN,
+        )
+
+    def end_dispatch(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        seq = self._seq
+        self._seq = seq + 1
+        RECORD_STRUCT.pack_into(
+            self._ring, (seq % self.capacity) * RECORD_SIZE,
+            seq, end_ns & _U64, ctx, hdr, (end_ns - start_ns) & _U64,
+            EV_DISPATCH_END,
+        )
+
+    def dispatch_error(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        self.record(EV_DISPATCH_ERROR, ctx, hdr, 0, end_ns)
+        self.spill("dispatch-exception")
 
     # -- spill ---------------------------------------------------------------
     def ring_bytes(self) -> bytes:

@@ -7,14 +7,15 @@ For each registered executive it resolves the loop-of-control thread
 (dynamically, from ``Executive._thread``, so an executive restart is
 picked up at the next tick), walks the frame chain into a collapsed
 stack, and attributes the sample to the dispatch context the hot path
-published in its :class:`DispatchSlot`.
+published in its :class:`DispatchSlot`, a dispatch observer armed on
+the executive.
 
-The attribution channel is deliberately race-tolerant: the dispatch
-loop performs one reference store of an immutable tuple per dispatch
-(or ``None`` between dispatches), the sampler performs one reference
-read.  Both are atomic under the GIL; a sample landing exactly on a
-context switch is attributed to whichever dispatch the slot held — a
-one-sample error, invisible at any realistic rate.  The sampler never
+The attribution channel is deliberately race-tolerant: the slot
+stores one immutable tuple at dispatch begin (``None`` again at
+dispatch end), the sampler performs one reference read.  Both are
+atomic under the GIL; a sample landing exactly on a context switch
+is attributed to whichever dispatch the slot held — a one-sample
+error, invisible at any realistic rate.  The sampler never
 mutates executive state.
 
 Output is Brendan-Gregg collapsed-stack format (``frame;frame;... N``)
@@ -31,24 +32,39 @@ from collections import Counter
 from types import FrameType
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.tracing import DispatchObserver
+from repro.flightrec.records import unpack3
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
+    from repro.i2o.frame import Frame
 
-class DispatchSlot:
-    """The cheap current-dispatch slot the executive publishes into.
+
+class DispatchSlot(DispatchObserver):
+    """The cheap current-dispatch slot, armed as a dispatch observer.
 
     One plain attribute holding either ``None`` (between dispatches)
     or the immutable ``(target, function, xfunction)`` triple of the
-    in-flight dispatch.  No locks: single-store, single-load.
+    in-flight dispatch, unpacked from the dispatch record's header.
+    No locks: single-store, single-load.
     """
 
     __slots__ = ("current",)
 
     def __init__(self) -> None:
         self.current: Optional[tuple[int, int, int]] = None
+
+    def begin_dispatch(
+        self, frame: "Frame", ctx: int, hdr: int, start_ns: int
+    ) -> None:
+        self.current = unpack3(hdr)
+
+    def end_dispatch(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        self.current = None
 
 
 def _xfunction_names() -> dict[tuple[int, int], str]:
@@ -78,8 +94,8 @@ def context_label(ctx: "tuple[int, int, int] | None") -> str:
 class SamplingProfiler:
     """Cluster-wide sampler: one thread, many watched executives.
 
-    ``register(exe)`` installs a :class:`DispatchSlot` on the
-    executive (turning its profiling hot path on) and exposes the
+    ``register(exe)`` arms a :class:`DispatchSlot` on the executive
+    (turning its profiling hot path on) and exposes the
     per-node sample tallies as callback gauges, so telemetry sweeps
     and ``repro.top`` see a HOT column with zero extra plumbing.
     ``start``/``stop`` are idempotent; the sampled thread ident is
@@ -110,11 +126,12 @@ class SamplingProfiler:
 
     # -- registration -------------------------------------------------------
     def register(self, exe: "Executive") -> DispatchSlot:
-        """Watch an executive; installs its dispatch slot (idempotent)."""
-        slot = exe.profile
-        if slot is None:
-            slot = DispatchSlot()
-            exe.profile = slot
+        """Watch an executive; arms its dispatch slot (idempotent)."""
+        with self._lock:
+            if self._watched.get(exe.node) is exe:
+                return self._slots[exe.node]
+        slot = DispatchSlot()
+        exe.observe(slot)
         with self._lock:
             self._watched[exe.node] = exe
             self._slots[exe.node] = slot
@@ -128,14 +145,15 @@ class SamplingProfiler:
         return slot
 
     def unregister(self, exe: "Executive") -> None:
-        """Stop watching; clears the slot so the hot path goes back to
-        its single ``is None`` test costing nothing further."""
+        """Stop watching; disarms the slot, so with no other observer
+        the hot path goes back to its single empty-tuple test."""
         with self._lock:
-            if self._watched.get(exe.node) is exe:
-                del self._watched[exe.node]
-                self._slots.pop(exe.node, None)
-                self._idents.pop(exe.node, None)
-        exe.profile = None
+            if self._watched.get(exe.node) is not exe:
+                return
+            del self._watched[exe.node]
+            slot = self._slots.pop(exe.node)
+            self._idents.pop(exe.node, None)
+        exe.unobserve(slot)
 
     def watch_thread(self, node: int, ident: int | None = None) -> None:
         """Pin the sampled thread for ``node`` explicitly.

@@ -12,16 +12,17 @@ Spills are capped (``max_spills``) so one pathological device cannot
 turn the watchdog into a disk-thrashing loop; every overrun is still
 counted and recorded in the ring regardless.
 
-The executive's hot path pays one ``is None`` test when no watch is
-attached, and one integer comparison per dispatch when one is — the
-clock read it needs is the same one the trace/flightrec/timing paths
-already share.
+The watch is a dispatch observer: it reads the duration off the
+dispatch record the executive builds once for all its observers, so
+an armed watch costs one call and one integer comparison per
+dispatch.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.tracing import DispatchObserver
 from repro.flightrec.records import EV_SLOW_FRAME
 from repro.i2o.errors import I2OError
 
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
 
 
-class SlowFrameWatch:
+class SlowFrameWatch(DispatchObserver):
     """Threshold watchdog for dispatch (and whole-trace) latency."""
 
     __slots__ = (
@@ -62,11 +63,11 @@ class SlowFrameWatch:
 
     def attach(self, exe: "Executive") -> "SlowFrameWatch":
         """Arm this watch on an executive and expose trip counters."""
-        if exe.slow_watch is not None:
+        if any(isinstance(obs, SlowFrameWatch) for obs in exe.observers):
             raise I2OError(
                 f"node {exe.node} already has a slow-frame watch"
             )
-        exe.slow_watch = self
+        exe.observe(self)
         self._exe = exe
         exe.metrics.gauge("prof_slow_frames_total", lambda: self.trips)
         exe.metrics.gauge("prof_slow_traces_total", lambda: self.trace_trips)
@@ -75,14 +76,18 @@ class SlowFrameWatch:
 
     def detach(self) -> None:
         if self._exe is not None:
-            self._exe.slow_watch = None
+            self._exe.unobserve(self)
             self._exe = None
 
     # -- called from the dispatch loop --------------------------------------
-    def note(self, ctx: int, hdr: int, elapsed_ns: int, end_ns: int) -> None:
-        """One dispatch blew the budget: record, maybe spill."""
-        self.trips += 1
-        self._capture(ctx, hdr, elapsed_ns, end_ns, "slow-frame")
+    def end_dispatch(
+        self, ctx: int, hdr: int, start_ns: int, end_ns: int
+    ) -> None:
+        elapsed = end_ns - start_ns
+        if elapsed > self.budget_ns:
+            # One dispatch blew the budget: record, maybe spill.
+            self.trips += 1
+            self._capture(ctx, hdr, elapsed, end_ns, "slow-frame")
 
     # -- called from trace-level tooling -------------------------------------
     def note_trace(self, trace_id: int, total_ns: int, end_ns: int = 0) -> None:

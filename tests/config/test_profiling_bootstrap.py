@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap
-from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
+from repro.profile.sampler import DispatchSlot
+from repro.profile.watch import SlowFrameWatch
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"
@@ -34,20 +36,22 @@ class TestWiring:
         assert cluster.profiler is not None
         assert cluster.profiler.hz == 97.0  # the schema default
         for exe in cluster.executives.values():
-            assert exe.profile is not None  # slot installed per node
+            # slot armed per node
+            assert any(isinstance(o, DispatchSlot) for o in exe.observers)
         for node in (0, 1):
             assert dispatch_hist(cluster, node).exemplars is not None
         # The default budget is 0: no watches armed.
         assert cluster.slow_watches == {}
-        assert all(
-            exe.slow_watch is None for exe in cluster.executives.values()
+        assert not any(
+            isinstance(o, SlowFrameWatch)
+            for exe in cluster.executives.values() for o in exe.observers
         )
 
     def test_sampling_off_leaves_the_hot_path_alone(self):
         cluster = bootstrap(spec_with_profiling(sampling=False))
         assert cluster.profiler is None
         assert all(
-            exe.profile is None for exe in cluster.executives.values()
+            exe.observers == () for exe in cluster.executives.values()
         )
 
     def test_exemplars_off(self):
@@ -70,7 +74,7 @@ class TestWiring:
         ))
         assert sorted(cluster.slow_watches) == [0, 1]
         for node, watch in cluster.slow_watches.items():
-            assert cluster.executives[node].slow_watch is watch
+            assert watch in cluster.executives[node].observers
             assert watch.budget_ns == 50_000
             assert watch.trace_budget_ns == 400_000
             assert watch.max_spills == 2
@@ -82,7 +86,7 @@ class TestWiring:
         assert cluster.profiler is None
         assert cluster.slow_watches == {}
         for exe in cluster.executives.values():
-            assert exe.profile is None and exe.slow_watch is None
+            assert exe.observers == ()
 
 
 class TestValidation:

@@ -321,3 +321,121 @@ class TestThreadMode:
         assert exe.state is DeviceState.FAILED
         exe.pool.check_conservation()
         assert exe.pool.in_flight == 0
+
+
+class _CountingClock:
+    """A manual clock that counts its reads."""
+
+    def __init__(self) -> None:
+        self.t = 0
+        self.reads = 0
+
+    def now_ns(self) -> int:
+        self.reads += 1
+        self.t += 1_000
+        return self.t
+
+
+class TestDispatchObservers:
+    """Every dispatch observer consumes the one dispatch record."""
+
+    @pytest.mark.parametrize("path", ["handled", "error", "vanished"])
+    def test_one_dispatch_feeds_every_observer_once(self, path):
+        from repro.core.metrics import DispatchTiming
+        from repro.core.tracing import FrameTracer
+        from repro.flightrec import FlightRecorder, unpack3
+        from repro.flightrec.records import (
+            EV_DISPATCH_BEGIN, EV_DISPATCH_END, EV_DISPATCH_ERROR,
+            RECORD_SIZE, RECORD_STRUCT, FlightRecord,
+        )
+        from repro.profile.sampler import SamplingProfiler
+        from repro.profile.watch import SlowFrameWatch
+
+        exe = Executive(node=0, clock=_CountingClock(),
+                        tracer=FrameTracer(capacity=16),
+                        flightrec=FlightRecorder(capacity=256))
+        timing = DispatchTiming(exe.metrics)
+        exe.observe(timing)
+        watch = SlowFrameWatch(10**12).attach(exe)
+        slot = SamplingProfiler(hz=50.0).register(exe)
+        assert exe.observers == (exe.tracer, exe.flightrec, timing, watch, slot)
+        published = []
+
+        def handler(frame):
+            published.append(slot.current)
+            if path == "error":
+                raise RuntimeError("boom")
+
+        dev = Listener("dev")
+        tid = exe.install(dev)
+        dev.bind(0x01, handler)
+        # initiator == target: a failed dispatch sends no failure reply,
+        # so exactly one dispatch happens.
+        exe.frame_send(exe.frame_alloc(0, target=tid, initiator=tid,
+                                       xfunction=0x01))
+        exe._route_outbound()
+        if path == "vanished":
+            exe._devices.pop(tid)  # gone between queueing and dispatch
+        assert exe._dispatch_one()
+        assert not exe._dispatch_one()
+
+        body = exe.flightrec.ring_bytes()
+        records = [
+            FlightRecord(*RECORD_STRUCT.unpack_from(body, i * RECORD_SIZE))
+            for i in range(len(body) // RECORD_SIZE)
+        ]
+        dispatch = [r for r in records if r.kind in (
+            EV_DISPATCH_BEGIN, EV_DISPATCH_ERROR, EV_DISPATCH_END)]
+        expected = [EV_DISPATCH_BEGIN, EV_DISPATCH_END]
+        if path == "error":
+            expected.insert(1, EV_DISPATCH_ERROR)
+        assert [r.kind for r in dispatch] == expected
+        begin, end = dispatch[0], dispatch[-1]
+        # Every record carries the same context and packed header.
+        assert {(r.a, r.b) for r in dispatch} == {(begin.a, begin.b)}
+        assert unpack3(begin.b) == (tid, unpack3(begin.b)[1], 0x01)
+        assert end.c == end.t_ns - begin.t_ns > 0
+        (span,) = exe.tracer.spans
+        assert (span.trace_id, span.tid, span.xfunction) == (begin.a, tid, 0x01)
+        assert span.dispatch_ns == end.c
+        assert timing.hist.count == 1 and timing.hist.sum == end.c
+        assert watch.trips == 0
+        assert published == ([] if path == "vanished" else [unpack3(begin.b)])
+        assert slot.current is None
+        assert exe.handler_errors == (path == "error")
+        assert (exe.dispatched, exe.dropped) == (
+            (0, 1) if path == "vanished" else (1, 0))
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
+
+    def test_unobserving_the_last_observer_restores_off_mode(self):
+        from repro.core.metrics import DispatchTiming
+        from repro.core.tracing import FrameTracer
+        from repro.flightrec import FlightRecorder
+
+        clock = _CountingClock()
+        exe = Executive(node=0, clock=clock)
+        sink = Sink()
+        tid = exe.install(sink)
+        observers = [FrameTracer(capacity=16), DispatchTiming(exe.metrics)]
+        for obs in observers:
+            exe.observe(obs)
+        recorder = FlightRecorder(capacity=64)
+        exe.attach_flight_recorder(recorder)
+        observers.append(recorder)
+        with pytest.raises(I2OError, match="already armed"):
+            exe.observe(recorder)
+        sink.send(tid, b"x", xfunction=0x01)
+        exe.run_until_idle()
+        assert clock.reads > 0
+        recorded = recorder.total_records
+        for obs in observers:
+            exe.unobserve(obs)
+        assert exe.observers == ()
+        assert exe.tracer is None and exe.flightrec is None
+        clock.reads = 0
+        sink.send(tid, b"y", xfunction=0x01)
+        exe.run_until_idle()
+        assert [s.payload for s in sink.got] == [b"x", b"y"]
+        assert clock.reads == 0  # no observer: no clock read per dispatch
+        assert recorder.total_records == recorded

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import (
+    DispatchTiming,
     Histogram,
     MetricsRegistry,
     openmetrics_escape,
@@ -221,7 +222,11 @@ class TestSnapshotAndRendering:
         ]
 
     def test_timing_flag_defaults_off(self):
-        assert MetricsRegistry().timing is False
+        # Dispatch timing is an observer a node must arm: none by default.
+        from repro.core.executive import Executive
+
+        exe = Executive(node=0)
+        assert not any(isinstance(o, DispatchTiming) for o in exe.observers)
 
 
 class TestExemplars:

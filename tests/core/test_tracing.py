@@ -40,7 +40,7 @@ class _Echo(Listener):
 def _traced_pair(capacity: int = 64):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.tracer = FrameTracer(node=node, capacity=capacity)
+        exe.observe(FrameTracer(node=node, capacity=capacity))
     echo = _Echo(name="echo")
     echo_tid = cluster[1].install(echo)
     caller = FunctionalListener(name="caller")
@@ -175,11 +175,9 @@ class TestSpans:
         # id()) enqueued much later must measure from *its* enqueue.
         tracer.note_enqueue(frame, clock.t)
         clock.t = 1_000_500
-        token = tracer.begin_dispatch(
-            frame, clock.t, frame.transaction_context, frame.target,
-            frame.function, frame.xfunction,
-        )
-        assert token[0] == 500  # queue_wait, not 1_000_500
+        tracer.begin_dispatch(frame, make_trace_id(0, 1), 0, clock.t)
+        tracer.end_dispatch(make_trace_id(0, 1), 0, clock.t, clock.t)
+        assert tracer.spans[-1].queue_wait_ns == 500  # not 1_000_500
 
     def test_timer_contexts_survive_untraced(self):
         exe = Executive(node=0, tracer=FrameTracer(capacity=16))

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.core.states import DeviceState
@@ -41,6 +46,44 @@ class TestGuardAlone:
     def test_bad_limit_rejected(self):
         with pytest.raises(I2OError):
             HandlerWatchdog(limit_ns=0)
+
+    def test_fired_injection_leaves_no_pending_signal(self):
+        """A fired preemptive timeout, delivered mid-handler or racing
+        the handler's completion, must leave nothing pending on the
+        thread: on CPython 3.11 a stale async-exception signal makes
+        the next call under ``sys.setprofile`` spin forever.  Run in a
+        subprocess so a regression times out instead of hanging the
+        suite."""
+        script = textwrap.dedent("""
+            import sys, time
+            from repro.core.watchdog import HandlerWatchdog, WatchdogTimeout
+
+            wd = HandlerWatchdog(limit_ns=2_000_000, preemptive=True)
+            try:
+                with wd.guard("spinner"):
+                    while True:
+                        sum(range(100))
+            except WatchdogTimeout:
+                pass
+            # Handlers finishing right at the budget race the injection.
+            for _ in range(20):
+                try:
+                    with wd.guard("racer"):
+                        time.sleep(0.002)
+                except WatchdogTimeout:
+                    pass
+            sys.setprofile(lambda *args: None)
+            (lambda: None)()
+            sys.setprofile(None)
+            print("clean", wd.overruns)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("clean"), proc.stdout
 
 
 class Spinner(Listener):

@@ -16,7 +16,7 @@ import re
 import time
 
 from repro.core.device import FunctionalListener, Listener
-from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+from repro.core.metrics import DispatchTiming
 from repro.core.tracing import FrameTracer, is_trace_context
 from repro.flightrec import FlightRecorder, load_dump
 from repro.flightrec.records import EV_SLOW_FRAME
@@ -31,12 +31,11 @@ BUDGET_NS = 1_000_000  # 1 ms: the slow handler sleeps 5x that
 def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.tracer = FrameTracer(node=node, capacity=256)
+        exe.observe(FrameTracer(node=node, capacity=256))
     receiver = cluster[1]
-    receiver.metrics.timing = True
-    receiver.metrics.histogram(
-        "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-    ).enable_exemplars()
+    timing = DispatchTiming(receiver.metrics)
+    timing.hist.enable_exemplars()
+    receiver.observe(timing)
     receiver.attach_flight_recorder(
         FlightRecorder(capacity=256, dump_dir=tmp_path)
     )

@@ -57,7 +57,7 @@ class TestValidation:
         exe = Executive(node=0)
         watch = SlowFrameWatch(1000).attach(exe)
         watch.detach()
-        assert exe.slow_watch is None
+        assert exe.observers == ()
 
 
 class TestTrips:

@@ -95,9 +95,8 @@ class TransportHarness:
 
         tracers = {}
         for node, exe in self.exes.items():
-            tracers[node] = exe.tracer = FrameTracer(
-                node=node, capacity=capacity
-            )
+            tracers[node] = FrameTracer(node=node, capacity=capacity)
+            exe.observe(tracers[node])
         return tracers
 
     def finish(self) -> None:
